@@ -19,9 +19,10 @@ from .isa import Instruction
 Item = Union[Instruction, Tuple[str, Instruction], str]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Located:
-    """An instruction placed at an address."""
+    """An instruction placed at an address (a plain value record, like
+    :class:`~repro.cpu.isa.Instruction`)."""
 
     address: int
     instruction: Instruction
@@ -39,20 +40,16 @@ class Program:
         self._located = located
         self.labels = labels
         self.base = base
-        self._by_address: Dict[int, Located] = {
-            loc.address: loc for loc in located
-        }
-        self._index_of_address: Dict[int, int] = {
-            loc.address: i for i, loc in enumerate(located)
-        }
-        self._resolve_targets()
-
-    def _resolve_targets(self) -> None:
-        for loc in self._located:
-            insn = loc.instruction
-            if insn.target is not None and insn.target not in self.labels:
+        self._by_address: Dict[int, Located] = {}
+        self._index_of_address: Dict[int, int] = {}
+        for i, loc in enumerate(located):
+            address = loc.address
+            self._by_address[address] = loc
+            self._index_of_address[address] = i
+            target = loc.instruction.target
+            if target is not None and target not in labels:
                 raise AssemblyError(
-                    f"undefined label {insn.target!r} at 0x{loc.address:x}"
+                    f"undefined label {target!r} at 0x{address:x}"
                 )
 
     # -- execution support --------------------------------------------------
@@ -112,19 +109,23 @@ def assemble(items: Sequence[Item], base: int = 0x1000) -> Program:
         labels[label] = at
 
     for item in items:
-        if isinstance(item, str):
+        # Bare instructions first: they are the overwhelmingly common item.
+        if isinstance(item, Instruction):
+            insn = item
+        elif isinstance(item, str):
             pending.append(item)
             continue
-        if isinstance(item, tuple):
+        elif isinstance(item, tuple):
             label, insn = item
             pending.append(label)
+            if not isinstance(insn, Instruction):
+                raise AssemblyError(f"not an instruction: {insn!r}")
         else:
-            insn = item
-        if not isinstance(insn, Instruction):
-            raise AssemblyError(f"not an instruction: {insn!r}")
-        for label in pending:
-            define(label, address)
-        pending.clear()
+            raise AssemblyError(f"not an instruction: {item!r}")
+        if pending:
+            for label in pending:
+                define(label, address)
+            pending.clear()
         located.append(Located(address, insn))
         address += insn.length
 

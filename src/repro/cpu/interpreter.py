@@ -54,7 +54,8 @@ class _Decoded:
 
     ``spin_head`` and ``batch`` carry the spin-elision predecode results:
     the spin candidate whose loop this address heads, and the fused
-    straight-line run starting here (both None almost everywhere).
+    straight-line run starting here (both None almost everywhere, and
+    everywhere until elision first arms).
     """
 
     __slots__ = ("insn", "handler", "pseudo", "next_ia", "spin_head", "batch")
@@ -335,8 +336,11 @@ class IsaCpu:
         self._retry_fetch0 = -1
         #: :class:`_ParkedRetry` record while retry-parked.
         self._retry_rec: Optional[_ParkedRetry] = None
-        #: Address -> pre-decoded record (see :class:`_Decoded`).
+        #: Address -> pre-decoded record (see :class:`_Decoded`). Its
+        #: spin-elision fields stay None until elision first arms (see
+        #: :meth:`_predecode_elision`).
         self._decoded: Dict[int, _Decoded] = self._predecode(program)
+        self._elision_predecoded = False
         #: Bound-method/object aliases for the per-step hot path (the
         #: PSW and decode table are created once and never rebound).
         self._decoded_get = self._decoded.get
@@ -346,33 +350,43 @@ class IsaCpu:
         decoded: Dict[int, _Decoded] = {}
         dispatch = self._DISPATCH
         specialize = self._SPECIALIZE
-        for loc in program:
+        labels = program.labels
+        branch_tuple = self._branch_tuple
+        #: Mnemonic -> dispatch handler bound to this CPU (one bound
+        #: method per mnemonic, not per program location).
+        bound: Dict[str, Callable] = {}
+        located = list(program)
+        # The fall-through successor is the next located instruction, or
+        # the end of the last one (``Program.next_address`` semantics).
+        successors = [loc.address for loc in located[1:]]
+        if located:
+            successors.append(located[-1].end_address)
+        for loc, next_ia in zip(located, successors):
             insn = loc.instruction
-            if insn.target is not None and insn.target in program.labels:
-                self._branch_tuple[loc.address] = (
-                    0, program.labels[insn.target]
-                )
+            address = loc.address
+            mnemonic = insn.mnemonic
+            target = insn.target
+            if target is not None and target in labels:
+                branch_tuple[address] = (0, labels[target])
             handler = None
-            factory = specialize.get(insn.mnemonic)
+            factory = specialize.get(mnemonic)
             if factory is not None:
                 # A per-instruction closure with operands (and branch
                 # targets) resolved once, at load time.
-                handler = factory(self, insn, loc.address)
+                handler = factory(self, insn, address)
             if handler is None:
-                handler = dispatch.get(insn.mnemonic)
+                handler = bound.get(mnemonic)
                 if handler is None:
-                    # Defer the failure to execution time (matching the
-                    # historical per-step dispatch behaviour).
-                    def handler(ia, insn, _m=insn.mnemonic):
-                        raise MachineStateError(f"no handler for {_m}")
-                else:
-                    handler = handler.__get__(self, IsaCpu)
-            decoded[loc.address] = _Decoded(
-                insn, handler, insn.pseudo, program.next_address(loc.address)
-            )
-        if self.spin_elide:
-            self._find_spin_candidates(program, decoded)
-            self._build_batches(program, decoded)
+                    handler = dispatch.get(mnemonic)
+                    if handler is None:
+                        # Defer the failure to execution time (matching
+                        # the historical per-step dispatch behaviour).
+                        def handler(ia, insn, _m=mnemonic):
+                            raise MachineStateError(f"no handler for {_m}")
+                    else:
+                        handler = handler.__get__(self, IsaCpu)
+                    bound[mnemonic] = handler
+            decoded[address] = _Decoded(insn, handler, insn.pseudo, next_ia)
         return decoded
 
     # ------------------------------------------------------------------
@@ -393,6 +407,16 @@ class IsaCpu:
     _SPIN_BRANCHES = frozenset(("J", "BRC", "CIJ", "BRCT"))
     #: "Short" loops only — bounds per-step tracking work.
     _SPIN_MAX_BODY = 16
+
+    def _predecode_elision(self) -> None:
+        """Run the spin-candidate and batch analysis over the decoded
+        program. Only an armed CPU reads the results, so this runs once,
+        when :meth:`configure_spin_elide` first arms elision — runs
+        under per-step hooks (schedule jitter, interrupt injection)
+        never pay for it."""
+        self._elision_predecoded = True
+        self._find_spin_candidates(self.program, self._decoded)
+        self._build_batches(self.program, self._decoded)
 
     def _find_spin_candidates(self, program: Program,
                               decoded: Dict[int, _Decoded]) -> None:
@@ -654,6 +678,8 @@ class IsaCpu:
         ``perturb`` alone.
         """
         self._elide_on = bool(self.spin_elide and hooks_ok)
+        if self._elide_on and not self._elision_predecoded:
+            self._predecode_elision()
         self._retry_on = bool(
             self.spin_elide and (hooks_ok if retry_ok is None else retry_ok)
         )

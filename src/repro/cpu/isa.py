@@ -20,7 +20,13 @@ from typing import Optional, Tuple, Union
 from ..errors import AssemblyError
 
 
-@dataclass(frozen=True)
+# Instruction records are built by the thousand per assembled program,
+# so they are plain (not frozen) dataclasses: a frozen ``__init__`` routes
+# every field through ``object.__setattr__`` and costs several times more.
+# ``unsafe_hash`` keeps value equality and hashing; treat them as values.
+
+
+@dataclass(unsafe_hash=True)
 class Mem:
     """A memory operand: effective address = GR[base] + GR[index] + disp.
 
@@ -36,7 +42,7 @@ class Mem:
 Operand = Union[int, str, Mem, None]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Instruction:
     """One symbolic instruction."""
 

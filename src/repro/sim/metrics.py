@@ -51,6 +51,9 @@ from ..errors import ConfigurationError
 #: Version tag embedded in every summary / JSONL record.
 SCHEMA = "repro.metrics/1"
 
+#: Default :class:`TxLog` capacity (entries beyond it count as dropped).
+TX_LOG_LIMIT = 100_000
+
 
 def abort_cause_name(code: int) -> str:
     """Histogram key for an abort code (AbortCode name or ``TABORT(n)``)."""
@@ -237,14 +240,39 @@ class TxLog:
     read in-process or round-tripped through a JSON payload. Unknown
     addresses are recorded as -1. The log is capped at ``limit`` entries;
     ``dropped`` counts the overflow.
+
+    The log records on its own: :meth:`attach` taps every engine of a
+    machine without the per-CPU histograms of a
+    :class:`MetricsRegistry` (the verify oracles read nothing else).
     """
 
-    __slots__ = ("entries", "limit", "dropped")
+    __slots__ = ("entries", "limit", "dropped", "_taps")
 
-    def __init__(self, limit: int) -> None:
+    def __init__(self, limit: int = TX_LOG_LIMIT) -> None:
         self.entries: List[List[Any]] = []
         self.limit = limit
         self.dropped = 0
+        self._taps: List = []
+
+    def attach(self, machine) -> "TxLog":
+        """Record every engine of ``machine`` (after CPUs are added)."""
+        if self._taps:
+            raise ConfigurationError("tx log is already attached")
+        if not machine.engines:
+            raise ConfigurationError(
+                "attach the tx log after adding CPUs to the machine"
+            )
+        for engine in machine.engines:
+            tap = _TxLogTap(engine.cpu_id, self)
+            engine.attach_metrics(tap)
+            self._taps.append((engine, tap))
+        return self
+
+    def detach(self) -> None:
+        """Stop recording (the entries stay readable)."""
+        for engine, tap in self._taps:
+            engine.detach_metrics(tap)
+        self._taps = []
 
     def append(self, cpu: int, kind: str, tbegin_ia, end_ia, code: int,
                constrained: bool, read_set, write_set) -> None:
@@ -321,14 +349,13 @@ class MetricsRegistry:
     """
 
     def __init__(self, tx_log: bool = False,
-                 tx_log_limit: int = 100_000) -> None:
+                 tx_log_limit: int = TX_LOG_LIMIT) -> None:
         self.cpus: List[CpuMetrics] = []
         self.tx_log: Optional[TxLog] = (
             TxLog(tx_log_limit) if tx_log else None
         )
         self._machine = None
         self._engines: List = []
-        self._taps: List[_TxLogTap] = []
 
     def attach(self, machine) -> "MetricsRegistry":
         """Attach to every engine of ``machine`` (after CPUs are added)."""
@@ -344,20 +371,17 @@ class MetricsRegistry:
             engine.attach_metrics(collector)
             self.cpus.append(collector)
             self._engines.append(engine)
-            if self.tx_log is not None:
-                tap = _TxLogTap(engine.cpu_id, self.tx_log)
-                engine.attach_metrics(tap)
-                self._taps.append(tap)
+        if self.tx_log is not None:
+            self.tx_log.attach(machine)
         return self
 
     def detach(self) -> None:
         """Detach all collectors (collected data stays readable)."""
         for engine, collector in zip(self._engines, self.cpus):
             engine.detach_metrics(collector)
-        for engine, tap in zip(self._engines, self._taps):
-            engine.detach_metrics(tap)
+        if self.tx_log is not None:
+            self.tx_log.detach()
         self._engines = []
-        self._taps = []
         self._machine = None
 
     # -- export ------------------------------------------------------------

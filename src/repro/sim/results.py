@@ -75,8 +75,9 @@ class SimResult:
 
     @property
     def tx_log(self) -> Optional[Dict[str, Any]]:
-        """Global-order transaction-outcome log, when the run was observed
-        by a ``MetricsRegistry(tx_log=True)``; None otherwise.
+        """Global-order transaction-outcome log, when the run was recorded
+        by a :class:`~repro.sim.metrics.TxLog` (alone, or inside a
+        ``MetricsRegistry(tx_log=True)``); None otherwise.
 
         A dict ``{"entries": [...], "dropped": n}`` where each entry is
         ``[cpu, kind, tbegin_ia, end_ia, code, constrained, read_lines,

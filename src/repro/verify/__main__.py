@@ -92,7 +92,8 @@ def main(argv=None) -> int:
     )
     status = "FAILED" if report.failures else "passed"
     print(
-        f"{report.cases_run} case(s) in {report.elapsed:.1f}s, "
+        f"{report.cases_run} case(s) in {report.elapsed:.1f}s "
+        f"({report.cases_per_s:.0f} cases/s), "
         f"{len(report.failures)} failure(s) — {status}"
     )
     return 1 if report.failures else 0

@@ -48,6 +48,12 @@ class FuzzReport:
     def ok(self) -> bool:
         return not self.failures
 
+    @property
+    def cases_per_s(self) -> float:
+        """Fuzzer throughput over the whole run (0.0 before any time
+        has elapsed)."""
+        return self.cases_run / self.elapsed if self.elapsed > 0 else 0.0
+
 
 def _check_safely(case: Dict[str, Any]) -> List[str]:
     try:

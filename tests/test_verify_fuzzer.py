@@ -332,6 +332,23 @@ class TestCli:
         assert main(["--cases", "5", "--seed", "0", "--quiet"]) == 0
         assert "passed" in capsys.readouterr().out
 
+    def test_cli_summary_reports_throughput(self, capsys):
+        import re
+
+        from repro.verify.__main__ import main
+        assert main(["--cases", "3", "--seed", "0", "--quiet"]) == 0
+        summary = capsys.readouterr().out.strip().splitlines()[-1]
+        assert re.match(
+            r"3 case\(s\) in \d+\.\d+s \(\d+ cases/s\), 0 failure\(s\)",
+            summary,
+        ), summary
+
+    def test_report_cases_per_s(self):
+        from repro.verify.fuzzer import FuzzReport
+
+        assert FuzzReport(seed=0).cases_per_s == 0.0
+        assert FuzzReport(seed=0, cases_run=30, elapsed=2.0).cases_per_s == 15.0
+
     def test_cli_replay_corpus(self, tmp_path, capsys):
         from repro.verify.__main__ import main
         case = generate_case(1)
