@@ -58,8 +58,7 @@ def main() -> int:
                       for key in ("parks", "wakes", "retry_parks",
                                   "retry_wakes", "heap_elides",
                                   "heap_elided_steps", "pushpop_fusions",
-                                  "broadcast_stops", "calendar_resizes",
-                                  "bucket_max_occupancy")))
+                                  "broadcast_stops")))
     # Event-queue composition: every queue event is either an elided
     # placeholder advance (parked spin / parked retry) or a plain step
     # of a running CPU (heap-elided steps never enter the queue).
@@ -75,22 +74,6 @@ def main() -> int:
               f"{retry_ticks} parked-retry ticks ("
               f"{100.0 * retry_ticks / events:.1f}%) + "
               f"{plain} plain steps ({100.0 * plain / events:.1f}%)")
-    # Virtual sequence numbering split: how many of those events never
-    # materialized in the queue (advanced off-queue with analytically
-    # assigned seqs), and how many of *those* were collapsed in closed
-    # form rather than advanced one at a time — what the next perf PR
-    # has left to chase.
-    virtual = sched.get("virtual_events", 0)
-    fast_fwd = sched.get("fast_forwarded_events", 0)
-    if events:
-        materialized = events - virtual
-        print("virtual-seq composition: "
-              f"{materialized} materialized ("
-              f"{100.0 * materialized / events:.1f}%) + "
-              f"{virtual} virtual ({100.0 * virtual / events:.1f}%), "
-              f"of which {fast_fwd} fast-forwarded in closed form ("
-              f"{100.0 * fast_fwd / events:.1f}%); "
-              f"queue switches: {sched.get('queue_switches', 0)}")
     print()
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)

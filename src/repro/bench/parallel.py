@@ -129,15 +129,15 @@ def result_from_payload(payload: Dict[str, Any]) -> Any:
 #: ``SimResult.sched`` counter block; v5: pluggable footprint policies —
 #: keys carry the *resolved* policy spec; v6: hybrid-TM fallback modes —
 #: ``CpuResult`` grows ``sw_committed``/``sw_aborted`` and keys carry the
-#: *resolved* fallback mode; v7: virtual sequence numbering — the
-#: ``SimResult.sched`` block gains the event-composition split and its
-#: counters depend on the resolved ``$REPRO_VIRTSEQ`` mode, which the
-#: keys carry explicitly).
+#: *resolved* fallback mode; v7: virtual sequence numbering — keys carry
+#: the resolved scheduler mode; v8: one materialized event path — the
+#: mode and the queue-implementation counters are gone from keys and the
+#: ``SimResult.sched`` block).
 #: Bumped whenever the stored-result format or the memory/store-cache
 #: semantics change in a way the source hash alone should not be trusted
 #: to catch (e.g. a rename-only refactor that keeps byte-identical
 #: sources elsewhere, or an external cache shared across checkouts).
-DATA_PLANE_VERSION = 7
+DATA_PLANE_VERSION = 8
 
 _CODE_VERSION: Optional[str] = None
 
@@ -196,11 +196,7 @@ def task_key(kind: str, experiment: Any, params: MachineParams,
     ``$REPRO_FOOTPRINT_POLICY``, which ``asdict(params)`` cannot see —
     without this, a cache written under one policy would be served to
     runs under another. The resolved hybrid-TM fallback mode is keyed
-    the same way (``$REPRO_FALLBACK_MODE``). The resolved
-    ``$REPRO_VIRTSEQ`` mode is keyed too: the architected result is
-    bit-identical either way, but the ``SimResult.sched``
-    event-composition counters are not, so an entry written under one
-    mode must never satisfy a run observing the other.
+    the same way (``$REPRO_FALLBACK_MODE``).
     """
     blob = json.dumps(
         {
@@ -209,7 +205,6 @@ def task_key(kind: str, experiment: Any, params: MachineParams,
             "params": asdict(params),
             "footprint_policy": resolve_policy_spec(params),
             "fallback_mode": resolve_fallback_mode(params),
-            "virtseq": os.environ.get("REPRO_VIRTSEQ", "1") != "0",
             "code": code_version(),
             "data_plane": DATA_PLANE_VERSION,
             "python": f"{sys.version_info[0]}.{sys.version_info[1]}",

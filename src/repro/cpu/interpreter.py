@@ -291,7 +291,7 @@ class IsaCpu:
         self._branch_tuple: Dict[int, tuple] = {}
         #: Spin-wait elision master switch (``REPRO_SPIN_ELIDE=0``
         #: disables detection, parking and batching; an explicit argument
-        #: overrides the environment — the REPRO_SPIN_CHECK reference run
+        #: overrides the environment — the REPRO_CHECK reference run
         #: uses that).
         self.spin_elide = (
             spin_elide if spin_elide is not None

@@ -56,15 +56,13 @@ class SimResult:
     metrics: Optional[Dict[str, Any]] = field(
         default=None, compare=False, repr=False
     )
-    #: Scheduler self-observability counters (parks, wakes, heap_elides,
-    #: heap_elided_steps, pushpop_fusions, broadcast_stops, and the
-    #: event-composition split: ``events`` total, ``virtual_events``
-    #: advanced off-queue under virtual sequence numbering,
-    #: ``fast_forwarded_events`` collapsed in closed form — materialized
-    #: events are ``events - virtual_events``). Not part of the
-    #: architected result — spin-wait elision and virtual sequence
-    #: numbering change them while leaving everything the equality above
-    #: compares bit-identical.
+    #: Scheduler self-observability counters: ``events`` (every queue
+    #: push), ``parks``/``wakes`` and ``spin_steps`` for parked spinners,
+    #: ``retry_parks``/``retry_wakes`` and ``retry_ticks`` for parked
+    #: retry waiters, ``heap_elides``/``heap_elided_steps``,
+    #: ``pushpop_fusions`` and ``broadcast_stops``. Not part of the
+    #: architected result — spin-wait elision changes them while leaving
+    #: everything the equality above compares bit-identical.
     sched: Optional[Dict[str, int]] = field(
         default=None, compare=False, repr=False
     )

@@ -1,10 +1,9 @@
-"""Tests for retry-storm elision and the calendar event queue.
+"""Tests for retry-storm elision.
 
-Retry parking extends the PR 5 spin-elision contract one level down:
-a certified ``FetchRetry`` back-off chain is advanced by scheduler
-ticks instead of re-executed instructions, and the bucketed calendar
-queue replaces the binary heap underneath — both under the same strict
-bit-identity contract. The tests pin that contract from several angles:
+Retry parking extends the spin-elision contract one level down: a
+certified ``FetchRetry`` back-off chain is advanced by scheduler ticks
+instead of re-executed instructions, under the same strict bit-identity
+contract. The tests pin that contract from several angles:
 
 * PPA back-off delay identity at the interesting abort counts (0, 1,
   the exponent knee at 6, the clamp at 7, and far past it at 100), and
@@ -13,17 +12,15 @@ bit-identity contract. The tests pin that contract from several angles:
   watched line's exclusive owner changes mid-backoff;
 * the parked-deadlock diagnostic names a retry waiter's watched block;
 * pinned bit-identity on coarse/fine/rwlock 48-CPU points, serial and
-  through the parallel runner, in all four mode combinations
-  (``REPRO_SPIN_ELIDE`` x ``REPRO_HEAP_SCHED``);
-* a randomized heap-vs-calendar differential on the queue itself,
-  resize path included;
-* ``REPRO_RETRY_CHECK=1`` differential replay, with and without
-  schedule jitter (retry parking stays armed under jitter).
+  through the parallel runner, with elision on and off
+  (``REPRO_SPIN_ELIDE``), plus the semantic scheduler counters of the
+  elided runs;
+* ``REPRO_CHECK=1`` differential replay, with and without schedule
+  jitter (retry parking stays armed under jitter).
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from types import SimpleNamespace
 
@@ -38,7 +35,7 @@ from repro.errors import MachineStateError
 from repro.mem.xi import WATCH_BLOCK_MASK
 from repro.params import ZEC12
 from repro.sim.machine import Machine
-from repro.sim.scheduler import CalendarEventQueue, Scheduler
+from repro.sim.scheduler import Scheduler
 from repro.verify.jitter import ScheduleJitter
 from repro.workloads.pool import PoolLayout, build_update_program
 
@@ -56,10 +53,26 @@ PINNED_48CPU = [
 
 IDS = [f"{e.scheme}-{e.n_cpus}" for e, _ in PINNED_48CPU]
 
-#: The four scheduler mode combinations every pinned point must agree
-#: across: spin/retry elision on/off x calendar/heap event queue.
-MODES = [("1", "0"), ("1", "1"), ("0", "0"), ("0", "1")]
-MODE_IDS = ["elide-cal", "elide-heap", "plain-cal", "plain-heap"]
+#: Spin/retry elision on and off: every pinned point must agree across
+#: both.
+MODES = ["1", "0"]
+MODE_IDS = ["elide", "plain"]
+
+#: The semantic ``SimResult.sched`` counters of the elided runs of
+#: :data:`PINNED_48CPU`, pinned from the reference implementation. They
+#: count what the simulated machine did (events pushed, chains parked,
+#: placeholder advances), not how the event queue stored it.
+PINNED_SCHED_48CPU = [
+    {"events": 236422, "parks": 1537, "wakes": 1537, "retry_parks": 1452,
+     "retry_wakes": 1452, "retry_ticks": 45269, "spin_steps": 178962,
+     "heap_elides": 898, "heap_elided_steps": 1558, "broadcast_stops": 0},
+    {"events": 2632, "parks": 0, "wakes": 0, "retry_parks": 7,
+     "retry_wakes": 7, "retry_ticks": 6, "spin_steps": 0,
+     "heap_elides": 15, "heap_elided_steps": 64, "broadcast_stops": 0},
+    {"events": 8842, "parks": 0, "wakes": 0, "retry_parks": 41,
+     "retry_wakes": 41, "retry_ticks": 141, "spin_steps": 0,
+     "heap_elides": 852, "heap_elided_steps": 2121, "broadcast_stops": 0},
+]
 
 
 def _summary(result):
@@ -210,22 +223,28 @@ class TestDeadlockDiagnostic:
 
 class TestPinnedBitIdentity:
     @pytest.mark.parametrize("experiment,pinned", PINNED_48CPU, ids=IDS)
-    @pytest.mark.parametrize("elide,heap", MODES, ids=MODE_IDS)
-    def test_serial(self, experiment, pinned, elide, heap, monkeypatch):
+    @pytest.mark.parametrize("elide", MODES, ids=MODE_IDS)
+    def test_serial(self, experiment, pinned, elide, monkeypatch):
         monkeypatch.setenv("REPRO_SPIN_ELIDE", elide)
-        monkeypatch.setenv("REPRO_HEAP_SCHED", heap)
         result = run_update_experiment(experiment)
         assert _summary(result) == pinned
         if elide == "0":
             assert result.sched["retry_parks"] == 0
-        if heap == "1":
-            assert result.sched["bucket_max_occupancy"] == 0
 
-    @pytest.mark.parametrize("elide,heap", MODES, ids=MODE_IDS)
-    def test_parallel(self, elide, heap, monkeypatch):
+    @pytest.mark.parametrize(
+        "experiment,counters",
+        [(e, c) for (e, _), c in zip(PINNED_48CPU, PINNED_SCHED_48CPU)],
+        ids=IDS,
+    )
+    def test_sched_counters(self, experiment, counters, monkeypatch):
+        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
+        sched = run_update_experiment(experiment).sched
+        assert {key: sched[key] for key in counters} == counters
+
+    @pytest.mark.parametrize("elide", MODES, ids=MODE_IDS)
+    def test_parallel(self, elide, monkeypatch):
         # Workers fork after the env change, so they inherit it.
         monkeypatch.setenv("REPRO_SPIN_ELIDE", elide)
-        monkeypatch.setenv("REPRO_HEAP_SCHED", heap)
         results = run_tasks(
             [("update", experiment) for experiment, _ in PINNED_48CPU],
             workers=2,
@@ -238,7 +257,6 @@ class TestPinnedBitIdentity:
         # Guards the identity matrix against vacuity: the contended CSG
         # point must actually park retry waiters (and tick them).
         monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
-        monkeypatch.delenv("REPRO_HEAP_SCHED", raising=False)
         result = run_update_experiment(PINNED_48CPU[0][0])
         sched = result.sched
         assert sched["retry_parks"] > 0
@@ -247,76 +265,9 @@ class TestPinnedBitIdentity:
         assert sched["events"] > 0
 
 
-class TestCalendarQueue:
-    def test_randomized_heap_differential(self):
-        # Tiny bucket array (4 buckets of 4 cycles) so resizes, cursor
-        # rewinds, and whole-year-empty jumps all trigger; the calendar
-        # must reproduce the heap's (time, seq) pop order exactly.
-        rng = random.Random(20260808)
-        for trial in range(25):
-            cal = CalendarEventQueue(shift=2, nbuckets=4)
-            heap = []
-            seq = 0
-            now = 0
-            for _ in range(600):
-                if heap and rng.random() < 0.45:
-                    expected = heapq.heappop(heap)
-                    assert cal.pop() == expected
-                    now = expected[0]
-                else:
-                    # Mostly near-future pushes with occasional far
-                    # jumps (the distribution the bucket sizing targets)
-                    # and same-time pushes to exercise FIFO-by-seq.
-                    dt = rng.choice((0, 0, 1, 2, 3, 5, 17, 130, 341,
-                                     4096, 70000))
-                    seq += 1
-                    item = (now + dt, seq, seq % 48)
-                    cal.push(item)
-                    heapq.heappush(heap, item)
-                assert cal.n == len(heap)
-            while heap:
-                assert cal.pop() == heapq.heappop(heap)
-            assert cal.resizes > 0
-            assert cal.max_occupancy > 0
-
-    def test_pushpop_matches_heap(self):
-        rng = random.Random(42)
-        cal = CalendarEventQueue(shift=2, nbuckets=4)
-        heap = []
-        seq = 0
-        now = 0
-        for _ in range(50):
-            seq += 1
-            cal.push((now + rng.randrange(64), seq, 0))
-        # Mirror the calendar's contents into the reference heap.
-        heap = sorted(item for b in cal.buckets for item in b)
-        heapq.heapify(heap)
-        for _ in range(300):
-            seq += 1
-            item = (now + rng.randrange(64), seq, 0)
-            expected = heapq.heappushpop(heap, item)
-            got = cal.pushpop(item)
-            assert got == expected
-            now = expected[0]
-
-    def test_peek_time_and_empty(self):
-        cal = CalendarEventQueue(shift=2, nbuckets=4)
-        assert cal.peek_time() is None
-        cal.push((100, 1, 0))
-        cal.push((3, 2, 0))
-        assert cal.peek_time() == 3
-        assert cal.pop() == (3, 2, 0)
-        assert cal.pop() == (100, 1, 0)
-        assert cal.peek_time() is None
-
-    def test_nbuckets_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            CalendarEventQueue(shift=2, nbuckets=3)
-
-
 class TestRetryCheck:
     def test_differential_run_passes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_CHECK", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         experiment = UpdateExperiment("coarse", 12, 1000, 4, iterations=5)
         result = run_update_experiment(experiment)
@@ -327,7 +278,7 @@ class TestRetryCheck:
         # draw the per-step perturbation in exact pop order); the
         # differential against the jittered non-elided reference must
         # come back bit-identical, with parking demonstrably engaged.
-        monkeypatch.setenv("REPRO_RETRY_CHECK", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         for seed in (0, 7):
             machine = Machine(ZEC12.with_cpus(12))

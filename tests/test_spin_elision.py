@@ -12,8 +12,9 @@ tests here pin that contract from several angles:
   tests would vacuously compare two non-elided runs);
 * false-positive detection: loops that mutate memory, or whose register
   effects are not idempotent, must never park;
-* the ``max_cycles`` budget boundary and the parked-deadlock guard;
-* ``REPRO_SPIN_CHECK=1`` differential runs, standalone and through the
+* the ``max_cycles`` budget boundary (including budgets that stop a
+  48-CPU run with every spinner parked) and the parked-deadlock guard;
+* ``REPRO_CHECK=1`` differential runs, standalone and through the
   ``repro.verify`` fuzzer (whose schedule jitter disables elision — the
   check must still pass).
 """
@@ -27,9 +28,12 @@ from repro.bench.parallel import run_tasks
 from repro.cpu.assembler import assemble
 from repro.cpu.isa import AGSI, AHI, HALT, J, JNZ, JZ, LHI, LTG, Mem, PAUSE, STG
 from repro.errors import MachineStateError
+from repro.mem.xi import WATCH_BLOCK_MASK
 from repro.params import ZEC12
 from repro.sim.machine import Machine
+from repro.sim.scheduler import Scheduler
 from repro.verify import fuzz
+from repro.workloads.pool import PoolLayout, build_update_program
 
 #: Same pinned tuples as test_dataplane: (cycles, instructions,
 #: tx_aborted, xi_rejects) from the reference implementation.
@@ -251,11 +255,60 @@ class TestBudgetAndDeadlock:
         assert result.aborted_early
         assert result.cycles <= 5_000
 
+    def test_diagnostic_names_spin_watched_block(self):
+        # The deadlock guard reads the LineWatchTable, not the event
+        # queue: it must name the block a parked spinner watches.
+        machine = Machine(ZEC12.with_cpus(4))
+        cpu = machine.add_program(assemble([HALT()]))
+        line = 0x8000
+        cpu.engine.fabric.watches.add(0, line, line & WATCH_BLOCK_MASK)
+        scheduler = Scheduler(machine.drivers)
+        scheduler._parked[0] = None  # the guard only reads the indices
+        with pytest.raises(MachineStateError) as exc:
+            scheduler._raise_parked_deadlock()
+        assert "cpu 0 parked on block 0x8000 (line 0x8000)" in str(exc.value)
+
+
+def _coarse_48_machine(spin_elide):
+    """The contended coarse-lock 48-CPU point (280111 cycles to finish)
+    on a machine with elision pinned on or off."""
+    machine = Machine(ZEC12.with_cpus(48), spin_elide=spin_elide)
+    program = build_update_program(
+        "coarse", PoolLayout(1000), n_vars=4, iterations=3,
+        fallback_mode=machine.fallback_mode,
+    )
+    for _ in range(48):
+        machine.add_program(program)
+    return machine
+
+
+class TestCycleBudgetBoundary:
+    #: Budgets landing at the very start, deep inside, and just short of
+    #: the end of the run — the middle ones stop with every spinner
+    #: parked mid-chain.
+    BUDGETS = (1000, 57_001, 137_777, 279_000)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_budget_identity_mid_chain(self, budget):
+        parked = _coarse_48_machine(True).run(max_cycles=budget)
+        plain = _coarse_48_machine(False).run(max_cycles=budget)
+        assert parked == plain
+        assert parked.aborted_early
+        assert plain.sched["parks"] == plain.sched["retry_parks"] == 0
+
+    def test_budget_truncates_parked_chains(self):
+        # Guards the identity above against vacuity: at a deep mid-run
+        # budget the elided run must have parked spinners whose chains
+        # the clamp cut short.
+        parked = _coarse_48_machine(True).run(max_cycles=137_777)
+        assert parked.sched["parks"] > 0
+        assert parked.sched["spin_steps"] > 0
+
 
 class TestSpinCheck:
     def test_differential_run_passes(self, monkeypatch):
         monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
-        monkeypatch.setenv("REPRO_SPIN_CHECK", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         assert _summary(
             run_update_experiment(PINNED_POINTS[2][0])
         ) == PINNED_POINTS[2][1]
@@ -263,6 +316,6 @@ class TestSpinCheck:
     def test_fuzzer_with_jitter_stays_green(self, monkeypatch):
         # Fuzz cases install schedule jitter, which disables elision for
         # that run; the differential check must still come back clean.
-        monkeypatch.setenv("REPRO_SPIN_CHECK", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         report = fuzz(seed=0, n_cases=5, shrink=False)
         assert report.ok, [f.violations for f in report.failures]
