@@ -13,8 +13,9 @@ contract. The tests pin that contract from several angles:
 * the parked-deadlock diagnostic names a retry waiter's watched block;
 * pinned bit-identity on coarse/fine/rwlock 48-CPU points, serial and
   through the parallel runner, with elision on and off
-  (``REPRO_SPIN_ELIDE``), plus the semantic scheduler counters of the
-  elided runs;
+  (``REPRO_SPIN_ELIDE``) and with the retired ``REPRO_HEAP_SCHED``
+  queue selector left set either way, plus the semantic scheduler
+  counters of the elided runs;
 * ``REPRO_CHECK=1`` differential replay, with and without schedule
   jitter (retry parking stays armed under jitter).
 """
@@ -53,10 +54,18 @@ PINNED_48CPU = [
 
 IDS = [f"{e.scheme}-{e.n_cpus}" for e, _ in PINNED_48CPU]
 
-#: Spin/retry elision on and off: every pinned point must agree across
-#: both.
-MODES = ["1", "0"]
-MODE_IDS = ["elide", "plain"]
+#: The four environment combinations every pinned point must agree
+#: across: spin/retry elision on/off x the retired ``REPRO_HEAP_SCHED``
+#: selector set to its old calendar ("0") or heap ("1") value. The
+#: scheduler has a single heapq queue now, so the selector must be
+#: inert: a script that still exports it gets the same figures.
+MODES = [("1", "0"), ("1", "1"), ("0", "0"), ("0", "1")]
+MODE_IDS = ["elide-cal", "elide-heap", "plain-cal", "plain-heap"]
+
+#: ``SimResult.sched`` keys of the deleted queue backends; no run may
+#: report them, whatever the environment says.
+RETIRED_QUEUE_COUNTERS = ("calendar_resizes", "bucket_max_occupancy",
+                          "queue_switches")
 
 #: The semantic ``SimResult.sched`` counters of the elided runs of
 #: :data:`PINNED_48CPU`, pinned from the reference implementation. They
@@ -223,13 +232,16 @@ class TestDeadlockDiagnostic:
 
 class TestPinnedBitIdentity:
     @pytest.mark.parametrize("experiment,pinned", PINNED_48CPU, ids=IDS)
-    @pytest.mark.parametrize("elide", MODES, ids=MODE_IDS)
-    def test_serial(self, experiment, pinned, elide, monkeypatch):
+    @pytest.mark.parametrize("elide,heap", MODES, ids=MODE_IDS)
+    def test_serial(self, experiment, pinned, elide, heap, monkeypatch):
         monkeypatch.setenv("REPRO_SPIN_ELIDE", elide)
+        monkeypatch.setenv("REPRO_HEAP_SCHED", heap)
         result = run_update_experiment(experiment)
         assert _summary(result) == pinned
         if elide == "0":
             assert result.sched["retry_parks"] == 0
+        for key in RETIRED_QUEUE_COUNTERS:
+            assert key not in result.sched
 
     @pytest.mark.parametrize(
         "experiment,counters",
@@ -241,10 +253,11 @@ class TestPinnedBitIdentity:
         sched = run_update_experiment(experiment).sched
         assert {key: sched[key] for key in counters} == counters
 
-    @pytest.mark.parametrize("elide", MODES, ids=MODE_IDS)
-    def test_parallel(self, elide, monkeypatch):
+    @pytest.mark.parametrize("elide,heap", MODES, ids=MODE_IDS)
+    def test_parallel(self, elide, heap, monkeypatch):
         # Workers fork after the env change, so they inherit it.
         monkeypatch.setenv("REPRO_SPIN_ELIDE", elide)
+        monkeypatch.setenv("REPRO_HEAP_SCHED", heap)
         results = run_tasks(
             [("update", experiment) for experiment, _ in PINNED_48CPU],
             workers=2,
