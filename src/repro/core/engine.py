@@ -289,6 +289,7 @@ class TxEngine(CpuPort):
         self.stq = StoreQueue()
         self.store_cache = GatheringStoreCache(
             entries=self.footprint.store_cache_entries(params.tx),
+            line_size=params.line_size,
         )
         # Both containers are mutated strictly in place, so the load fast
         # path's pending-store checks can alias them.
@@ -787,7 +788,8 @@ class TxEngine(CpuPort):
             lines = lines_touched(addr, length, self._line_size)
             for line in lines:
                 latency += self._fetch(line, exclusive=True)[0]
-        self._check_per_store(addr, length)
+        if self.per.storage_range is not None:
+            self._check_per_store(addr, length)
         self._commit_store(addr, value, length, ntstg=False)
         if self.tx.depth:
             self._note_write_lines(lines, addr, length)
@@ -809,17 +811,24 @@ class TxEngine(CpuPort):
             raise TransactionAbortSignal(self.pending_abort)
         if self._page_missing:
             self._translate(addr, length, store=True)
-        lines = lines_touched(addr, length, self._line_size)
-        latency = 0
-        for line in lines:
-            latency += self._fetch(line, exclusive=True)[0]
-        self._check_per_store(addr, length)
+        first = addr & self._line_mask
+        if (addr + length - 1) & self._line_mask == first:
+            latency = self._fetch(first, exclusive=True)[0]
+            lines: Tuple[int, ...] = (first,)
+        else:
+            latency = 0
+            lines = lines_touched(addr, length, self._line_size)
+            for line in lines:
+                latency += self._fetch(line, exclusive=True)[0]
+        if self.per.storage_range is not None:
+            self._check_per_store(addr, length)
         mask = (1 << (8 * length)) - 1
         current = self._read_value(addr, length)
         signed = current - (1 << (8 * length)) if current >> (8 * length - 1) else current
         new_value = (signed + increment) & mask
         self._commit_store(addr, new_value, length, ntstg=False)
-        self._note_write_lines(lines, addr, length)
+        if self.tx.depth:
+            self._note_write_lines(lines, addr, length)
         return (new_value, latency)
 
     def ntstg(self, addr: int, value: int) -> int:
@@ -855,18 +864,26 @@ class TxEngine(CpuPort):
             raise TransactionAbortSignal(self.pending_abort)
         if self._page_missing:
             self._translate(addr, length, store=True)
-        lines = lines_touched(addr, length, self._line_size)
         latency = self.params.costs.cas_extra
-        for line in lines:
-            latency += self._fetch(line, exclusive=True)[0]
+        first = addr & self._line_mask
+        if (addr + length - 1) & self._line_mask == first:
+            latency += self._fetch(first, exclusive=True)[0]
+            lines: Tuple[int, ...] = (first,)
+        else:
+            lines = lines_touched(addr, length, self._line_size)
+            for line in lines:
+                latency += self._fetch(line, exclusive=True)[0]
         current = self._read_value(addr, length)
         if current == expected:
-            self._check_per_store(addr, length)
+            if self.per.storage_range is not None:
+                self._check_per_store(addr, length)
             self._commit_store(addr, new, length, ntstg=False)
-            self._note_write_lines(lines, addr, length)
+            if self.tx.depth:
+                self._note_write_lines(lines, addr, length)
             swapped = True
         else:
-            self._note_read_lines(lines, addr, length)
+            if self.tx.depth:
+                self._note_read_lines(lines, addr, length)
             swapped = False
         return (swapped, current, latency)
 
@@ -1190,16 +1207,15 @@ class TxEngine(CpuPort):
         mask = (1 << (8 * length)) - 1
         data = (value & mask).to_bytes(length, "big")
         try:
-            self.store_cache.store(addr, data, tx=self.tx.active, ntstg=ntstg)
+            drained = self.store_cache.store(
+                addr, data, tx=self.tx.depth > 0, ntstg=ntstg
+            )
         except StoreCacheOverflow:
             self._abort_now(self.footprint.on_store_overflow())
             self.raise_if_pending()
-        drained = self.store_cache.take_drained()
+            drained = 1  # earlier blocks of the store may have drained
         if drained:
-            self.memory.apply_runs(drained)
-            fabric = self.fabric
-            if fabric.watches.by_block:
-                fabric.wake_drained(drained)
+            self._apply_drained_runs()
 
     def _check_per_store(self, addr: int, length: int) -> None:
         if self.per.storage_range is None:
@@ -1374,13 +1390,16 @@ class TxEngine(CpuPort):
 
     def receive_xi(self, xi: Xi) -> Tuple[XiResponse, int]:
         line = xi.line
-        if xi.xi_type in (XiType.EXCLUSIVE, XiType.DEMOTE):
-            conflict = self._xi_conflict_code(xi.xi_type, line)
+        xi_type = xi.xi_type
+        store_cache = self.store_cache
+        if xi_type is XiType.EXCLUSIVE or xi_type is XiType.DEMOTE:
+            verdict = store_cache.xi_compare(line)
+            conflict = self._xi_conflict_code(xi_type, line, verdict)
             if conflict is not None:
                 return self._stiff_arm(xi, conflict)
             extra = 0
-            if self.store_cache.xi_compare(line) == "drain":
-                drained = self.store_cache.drain_line(line)
+            if verdict == "drain":
+                drained = store_cache.drain_line(line)
                 self._apply_drained_runs()
                 extra = drained * self.params.latencies.store_cache_drain
             self._apply_xi(xi)
@@ -1389,7 +1408,7 @@ class TxEngine(CpuPort):
                 m.note_xi(xi, XiResponse.ACCEPT)
             return (XiResponse.ACCEPT, extra)
 
-        if xi.xi_type is XiType.READ_ONLY:
+        if xi_type is XiType.READ_ONLY:
             if self._read_set_hit(line):
                 # Not rejectable: the reader transaction aborts.
                 self._abort_now(AbortCode.FETCH_CONFLICT, conflict_token=line)
@@ -1402,10 +1421,13 @@ class TxEngine(CpuPort):
         # LRU XI from an inclusive higher-level cache eviction.
         if self._read_set_hit(line):
             self._abort_now(AbortCode.CACHE_FETCH_RELATED, conflict_token=line)
-        if line in self.store_cache.tx_lines():
+        # Compared after the abort above, which drops the tx entries.
+        verdict = store_cache.xi_compare(line)
+        if verdict == "reject":
+            # A transactional entry holds the line.
             self._abort_now(AbortCode.CACHE_STORE_RELATED, conflict_token=line)
-        elif self.store_cache.xi_compare(line) == "drain":
-            self.store_cache.drain_line(line)
+        elif verdict == "drain":
+            store_cache.drain_line(line)
             self._apply_drained_runs()
         self._apply_xi(xi)
         m = self.metrics
@@ -1413,13 +1435,14 @@ class TxEngine(CpuPort):
             m.note_xi(xi, XiResponse.ACCEPT)
         return (XiResponse.ACCEPT, 0)
 
-    def _xi_conflict_code(self, xi_type: XiType, line: int):
+    def _xi_conflict_code(self, xi_type: XiType, line: int, verdict: str):
         """The abort code a rejectable XI for ``line`` would conflict on,
-        or None when it would be accepted cleanly. Pure query — shared
-        between :meth:`receive_xi` (which acts on it) and
-        :meth:`would_reject_xi` (the retry-parking peek), so the two can
-        never drift apart."""
-        if self.store_cache.xi_compare(line) == "reject":
+        or None when it would be accepted cleanly; ``verdict`` is the
+        store cache's :meth:`~GatheringStoreCache.xi_compare` of the line.
+        Pure query — shared between :meth:`receive_xi` (which acts on it)
+        and :meth:`would_reject_xi` (the retry-parking peek), so the two
+        can never drift apart."""
+        if verdict == "reject":
             return AbortCode.STORE_CONFLICT
         if xi_type is XiType.EXCLUSIVE and self._read_set_hit(line):
             return AbortCode.FETCH_CONFLICT
@@ -1438,7 +1461,8 @@ class TxEngine(CpuPort):
         broadcast-stop, and the post-increment reject count still under
         the hang-avoidance threshold.
         """
-        if self._xi_conflict_code(xi_type, line) is None:
+        verdict = self.store_cache.xi_compare(line)
+        if self._xi_conflict_code(xi_type, line, verdict) is None:
             return False
         return (
             not self.stopped_by_broadcast

@@ -147,7 +147,8 @@ class FootprintPolicy:
         engine = self._engine
         if line in engine.tx.read_set:
             return AbortCode.FETCH_OVERFLOW
-        if line in engine.store_cache.tx_lines():
+        # "reject": a transactional store-cache entry holds the line.
+        if engine.store_cache.xi_compare(line) == "reject":
             return AbortCode.STORE_OVERFLOW
         return None
 

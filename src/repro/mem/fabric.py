@@ -23,7 +23,7 @@ using :class:`repro.params.Latencies`.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import ProtocolError
 from ..params import MachineParams
@@ -152,6 +152,22 @@ class CoherenceFabric:
             ]
             self._rank_rows.append(row)
             self._dist_lat_rows.append([lat_by_rank[r] for r in row])
+        #: Per-CPU shared-cache directories that drop their copy when the
+        #: CPU takes a line exclusive: the L3s of the other chips and the
+        #: L4s of the other MCMs.
+        self._purge_dirs_by_cpu = [
+            [l3.directory for l3 in self.l3s
+             if l3.chip != self._chip_of_cpu[c]]
+            + [l4.directory for l4 in self.l4s
+               if l4.mcm != self._mcm_of_cpu[c]]
+            for c in range(total)
+        ]
+        #: ``(latency, source)`` of a core-to-core intervention by rank.
+        self._intervention_sources = (
+            (self.lat.on_chip_intervention, "intervention"),
+            (self.lat.same_mcm, "intervention-mcm"),
+            (self.lat.cross_mcm, "intervention-remote"),
+        )
         #: Per-CPU L3/L4 install callbacks (avoid per-fetch closures).
         self._l3_install_cbs = [
             (lambda c: lambda victim: self._lru_cascade_l3(c, victim))(c)
@@ -248,7 +264,9 @@ class CoherenceFabric:
             entry.lru = l1_dir._clock
             return self._outcome_l1
 
-        info = self.line_info(line)
+        info = self._lines.get(line)
+        if info is None:
+            info = self._lines[line] = LineInfo()
 
         # Read-only upgrade: we own it RO, need exclusive. Other RO owners
         # get (non-rejectable) read-only XIs.
@@ -264,12 +282,14 @@ class CoherenceFabric:
             return FetchOutcome(True, latency, "upgrade")
 
         # L2 hit with sufficient ownership: refill the L1.
-        l2_entry = port.l2.directory._entries.get(line)
+        l2_dir = port.l2.directory
+        l2_entry = l2_dir._entries.get(line)
         if l2_entry is not None and (
             not exclusive or l2_entry.state is Ownership.EXCLUSIVE
         ):
-            port.l2.directory.touch(l2_entry)
-            self._install_l1(port, line, l2_entry.state)
+            l2_dir._clock += 1
+            l2_entry.lru = l2_dir._clock
+            l1_dir.install(line, l2_entry.state, evict=self._l1_evict_cbs[cpu])
             self._probe_cache.pop(line, None)
             return self._outcome_l2
 
@@ -283,47 +303,48 @@ class CoherenceFabric:
             busy = self._outcome_busy
             busy.latency = info.busy_until - now
             return busy
-        want = Ownership.EXCLUSIVE if exclusive else Ownership.READ_ONLY
-        latency = 0
-        source = "memory"
 
-        if info.ex_owner >= 0 and info.ex_owner != cpu:
-            owner = info.ex_owner
+        owner = info.ex_owner
+        if owner >= 0 and owner != cpu:
             xi_type = XiType.EXCLUSIVE if exclusive else XiType.DEMOTE
             response, extra = self._send_xi(Xi(xi_type, line, cpu, owner))
             if response is XiResponse.REJECT:
                 self.stats_rejects += 1
                 return self._outcome_reject
-            # Target accepted (it updated its own directories).
-            if xi_type is XiType.EXCLUSIVE:
-                if info.ex_owner == owner:
-                    info.ex_owner = -1
-            else:
-                if info.ex_owner == owner:
-                    info.ex_owner = -1
+            # Target accepted (it updated its own directories); a demoted
+            # owner keeps a read-only copy.
+            if info.ex_owner == owner:
+                info.ex_owner = -1
+                if not exclusive:
                     info.ro_owners.add(owner)
-            latency += self.lat.xi_round_trip + extra
-            latency += self._distance_latency(cpu, owner)
+            latency = lat.xi_round_trip + extra + self._dist_lat_rows[cpu][owner]
             source = "intervention"
         else:
-            if exclusive:
-                latency += self._invalidate_ro_owners(line, info, except_cpu=cpu)
-            latency += self._shared_source_latency(cpu, line)
-            source = self._shared_source_name(cpu, line)
+            latency = 0
+            if exclusive and info.ro_owners:
+                latency = self._invalidate_ro_owners(line, info, except_cpu=cpu)
+            shared_latency, source = self._shared_source(cpu, line, info)
+            latency += shared_latency
 
         # Grant ownership and install everywhere (inclusive hierarchy).
         info.busy_until = now + latency
         if exclusive:
+            want = Ownership.EXCLUSIVE
             info.ro_owners.discard(cpu)
             info.ex_owner = cpu
-            self._purge_other_shared(cpu, line)
+            # Stale copies leave the other chips' L3s and MCMs' L4s.
+            for directory in self._purge_dirs_by_cpu[cpu]:
+                if line in directory._entries:
+                    directory.remove(line)
             if self.watches.by_block:
                 self._wake_line_watchers(line)
         else:
+            want = Ownership.READ_ONLY
             info.ro_owners.add(cpu)
-        self._install_shared(cpu, line)
-        self._install_l2(port, line, want)
-        self._install_l1(port, line, want)
+        self._l3_by_cpu[cpu].install(line, self._l3_install_cbs[cpu])
+        self._l4_by_cpu[cpu].install(line, self._l4_install_cbs[cpu])
+        l2_dir.install(line, want, evict=self._l2_evict_cbs[cpu])
+        l1_dir.install(line, want, evict=self._l1_evict_cbs[cpu])
         self._probe_cache.pop(line, None)
         return FetchOutcome(True, latency, source)
 
@@ -433,41 +454,45 @@ class CoherenceFabric:
             not exclusive or l2_entry.state is Ownership.EXCLUSIVE
         ):
             return lat.l2_hit
-        if info is not None and info.ex_owner >= 0 and info.ex_owner != cpu:
-            return lat.xi_round_trip + self._distance_latency(
-                cpu, info.ex_owner
-            )
-        latency = self._shared_probe_latency(cpu, line)
-        if exclusive and info is not None and info.ro_owners - {cpu}:
-            latency += lat.xi_round_trip
-        return latency
+        if info is not None:
+            if info.ex_owner >= 0 and info.ex_owner != cpu:
+                return lat.xi_round_trip + self._dist_lat_rows[cpu][info.ex_owner]
+            if info.ro_owners:
+                nearest = self._nearest_rank(cpu, info.ro_owners)
+                if nearest < 3:
+                    latency = self._intervention_sources[nearest][0]
+                else:
+                    latency = self._shared_probe_latency(cpu, line)
+                # Exclusive: ``cpu`` is not among the owners (the upgrade
+                # case returned above), so every owner gets a read-only XI.
+                if exclusive:
+                    latency += lat.xi_round_trip
+                return latency
+        return self._shared_probe_latency(cpu, line)
+
+    def _nearest_rank(self, cpu: int, owners) -> int:
+        """Distance rank of the nearest owner other than ``cpu``: 0 same
+        chip, 1 same MCM, 2 remote MCM, 3 when ``cpu`` is the only one."""
+        row = self._rank_rows[cpu]
+        nearest = 3
+        for o in owners:
+            if o != cpu:
+                r = row[o]
+                if r < nearest:
+                    nearest = r
+                    if r == 0:
+                        break
+        return nearest
 
     def _shared_probe_latency(self, cpu: int, line: int) -> int:
-        """Like :meth:`_shared_source_latency` but without LRU touches."""
-        info = self._lines.get(line)
-        if info is not None and info.ro_owners:
-            row = self._rank_rows[cpu]
-            nearest = 3
-            for o in info.ro_owners:
-                if o != cpu:
-                    r = row[o]
-                    if r < nearest:
-                        nearest = r
-                        if r == 0:
-                            break
-            if nearest < 3:
-                return (
-                    self.lat.on_chip_intervention,
-                    self.lat.same_mcm,
-                    self.lat.cross_mcm,
-                )[nearest]
-        if self._l3_by_cpu[cpu].contains(line):
+        """Latency of the shared-cache tiers, without LRU touches."""
+        if line in self._l3_by_cpu[cpu].directory._entries:
             return self.lat.l3_hit
-        if self._l4_by_cpu[cpu].contains(line):
+        if line in self._l4_by_cpu[cpu].directory._entries:
             return self.lat.same_mcm
         my_mcm = self._mcm_of_cpu[cpu]
         for l4 in self.l4s:
-            if l4.mcm != my_mcm and l4.contains(line):
+            if l4.mcm != my_mcm and line in l4.directory._entries:
                 return self.lat.cross_mcm
         return self.lat.memory
 
@@ -504,12 +529,15 @@ class CoherenceFabric:
     def _invalidate_ro_owners(self, line: int, info: LineInfo, except_cpu: int) -> int:
         """Send read-only XIs to every RO owner; returns added latency."""
         latency = 0
-        for owner in sorted(info.ro_owners):
-            if owner == except_cpu:
-                continue
-            self._send_xi(Xi(XiType.READ_ONLY, line, except_cpu, owner))
-            latency = self.lat.xi_round_trip  # overlapped, charge once
-        info.ro_owners = {o for o in info.ro_owners if o == except_cpu}
+        owners = info.ro_owners
+        if len(owners) > 1 or (owners and except_cpu not in owners):
+            for owner in sorted(owners):
+                if owner == except_cpu:
+                    continue
+                self._send_xi(Xi(XiType.READ_ONLY, line, except_cpu, owner))
+                latency = self.lat.xi_round_trip  # overlapped, charge once
+            # Rebuilt from the set as it stands after delivery.
+            info.ro_owners = {o for o in info.ro_owners if o == except_cpu}
         self._probe_cache.pop(line, None)
         return latency
 
@@ -520,16 +548,6 @@ class CoherenceFabric:
             entry = directory.lookup(line)
             if entry is not None:
                 entry.state = state
-
-    def _install_l1(self, port: CpuPort, line: int, state: Ownership) -> None:
-        port.l1.directory.install(
-            line, state, evict=self._l1_evict_cbs[port.cpu_id]
-        )
-
-    def _install_l2(self, port: CpuPort, line: int, state: Ownership) -> None:
-        port.l2.directory.install(
-            line, state, evict=self._l2_evict_cbs[port.cpu_id]
-        )
 
     def _evict_from_private(self, port: CpuPort, line: int) -> None:
         """A line leaves a CPU's L2 (and, by inclusivity, its L1)."""
@@ -544,27 +562,6 @@ class CoherenceFabric:
         port.note_l2_eviction(line)
 
     # -- shared caches ------------------------------------------------------------
-
-    def _l3_of(self, cpu: int) -> L3Cache:
-        return self._l3_by_cpu[cpu]
-
-    def _l4_of(self, cpu: int) -> L4Cache:
-        return self._l4_by_cpu[cpu]
-
-    def _install_shared(self, cpu: int, line: int) -> None:
-        self._l3_by_cpu[cpu].install(line, self._l3_install_cbs[cpu])
-        self._l4_by_cpu[cpu].install(line, self._l4_install_cbs[cpu])
-
-    def _purge_other_shared(self, cpu: int, line: int) -> None:
-        """On exclusive acquisition, stale copies leave other L3s/L4s."""
-        my_chip = self._chip_of_cpu[cpu]
-        my_mcm = self._mcm_of_cpu[cpu]
-        for l3 in self.l3s:
-            if l3.chip != my_chip:
-                l3.remove(line)
-        for l4 in self.l4s:
-            if l4.mcm != my_mcm:
-                l4.remove(line)
 
     def _lru_cascade_l3(self, cpu: int, victim: int) -> None:
         """An L3 eviction sends LRU XIs to the cores under that chip."""
@@ -591,7 +588,6 @@ class CoherenceFabric:
         for owner in sorted(info.owners()):
             if owner >= len(self._ports) or not in_scope(owner):
                 continue
-            port = self._ports[owner]
             self._send_xi(Xi(XiType.LRU, line, -1, owner))
             info.ro_owners.discard(owner)
             if info.ex_owner == owner:
@@ -599,59 +595,39 @@ class CoherenceFabric:
 
     # -- latency classification -------------------------------------------------
 
-    def _distance_rank(self, cpu: int, other: int) -> int:
-        """0 = same chip, 1 = same MCM, 2 = remote MCM."""
-        return self._rank_rows[cpu][other]
+    def _shared_source(self, cpu: int, line: int, info: LineInfo) -> Tuple[int, str]:
+        """``(latency, source)`` of a miss with no foreign exclusive owner.
 
-    def _distance_latency(self, cpu: int, other: int) -> int:
-        return self._dist_lat_rows[cpu][other]
-
-    def _shared_source_latency(self, cpu: int, line: int) -> int:
-        name = self._shared_source_name(cpu, line)
-        # The intervention tiers ride the same interconnect hops as the
-        # shared-cache tiers at the same distance, so the same-MCM and
-        # cross-MCM interventions reuse those latencies — distinct
-        # *labels* (for fetch-source attribution), identical cycles.
-        return {
-            "l3": self.lat.l3_hit,
-            "l4": self.lat.same_mcm,
-            "remote": self.lat.cross_mcm,
-            "memory": self.lat.memory,
-            "intervention": self.lat.on_chip_intervention,
-            "intervention-mcm": self.lat.same_mcm,
-            "intervention-remote": self.lat.cross_mcm,
-        }[name]
-
-    def _shared_source_name(self, cpu: int, line: int) -> str:
-        info = self._lines.get(line)
-        if info is not None and info.ro_owners:
-            # Another core holds it read-only; the nearest copy sources
-            # it via core-to-core intervention. Label the source by the
-            # intervention distance — historically the same-MCM and
-            # cross-MCM cases were misreported as "l4"/"remote", making
-            # ``metrics.fetch_sources`` count them as shared-cache hits.
-            row = self._rank_rows[cpu]
-            nearest = 3
-            for o in info.ro_owners:
-                if o != cpu:
-                    r = row[o]
-                    if r < nearest:
-                        nearest = r
-                        if r == 0:
-                            break
+        A read-only copy in another core is sourced by core-to-core
+        intervention, labelled by distance; otherwise the nearest shared
+        cache holding the line sources it, and that L3 or L4 gets one
+        LRU touch. The intervention tiers ride the same interconnect hops
+        as the shared-cache tiers at the same distance, so the same-MCM
+        and cross-MCM interventions reuse those latencies — distinct
+        *labels* (for fetch-source attribution), identical cycles.
+        """
+        if info.ro_owners:
+            nearest = self._nearest_rank(cpu, info.ro_owners)
             if nearest < 3:
-                return (
-                    "intervention", "intervention-mcm", "intervention-remote"
-                )[nearest]
-        if self._l3_by_cpu[cpu].touch(line):
-            return "l3"
-        if self._l4_by_cpu[cpu].touch(line):
-            return "l4"
+                return self._intervention_sources[nearest]
+        lat = self.lat
+        directory = self._l3_by_cpu[cpu].directory
+        entry = directory._entries.get(line)
+        if entry is not None:
+            directory._clock += 1
+            entry.lru = directory._clock
+            return (lat.l3_hit, "l3")
+        directory = self._l4_by_cpu[cpu].directory
+        entry = directory._entries.get(line)
+        if entry is not None:
+            directory._clock += 1
+            entry.lru = directory._clock
+            return (lat.same_mcm, "l4")
         my_mcm = self._mcm_of_cpu[cpu]
         for l4 in self.l4s:
-            if l4.mcm != my_mcm and l4.contains(line):
-                return "remote"
-        return "memory"
+            if l4.mcm != my_mcm and line in l4.directory._entries:
+                return (lat.cross_mcm, "remote")
+        return (lat.memory, "memory")
 
     # -- ownership fix-ups used by the engines ------------------------------------
 

@@ -41,14 +41,21 @@ class SharedCache:
         """Install ``line``; evictions call back with the victim's address.
 
         The callback is responsible for the inclusivity cascade (sending
-        LRU XIs to every lower-level cache holding the victim).
+        LRU XIs to every lower-level cache holding the victim); it runs
+        after the install, once the new line holds its way.
         """
-        victims: List[int] = []
-        self.directory.install(
-            line, Ownership.EXCLUSIVE, evict=lambda e: victims.append(e.line)
-        )
+        directory = self.directory
+        entry = directory._entries.get(line)
+        if entry is not None:
+            # Already present (shared-cache entries are always installed
+            # exclusive): refresh its LRU stamp in place.
+            directory._clock += 1
+            entry.lru = directory._clock
+            return
+        victims: List[DirectoryEntry] = []
+        directory.install(line, Ownership.EXCLUSIVE, evict=victims.append)
         for victim in victims:
-            on_lru_eviction(victim)
+            on_lru_eviction(victim.line)
 
     def remove(self, line: int) -> Optional[DirectoryEntry]:
         return self.directory.remove(line)

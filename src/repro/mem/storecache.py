@@ -35,8 +35,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..errors import ProtocolError
-from .address import DOUBLEWORD, doubleword_address, line_address
+from ..errors import ConfigurationError, ProtocolError
+from .address import DOUBLEWORD, LINE_SIZE, doubleword_address
 
 
 BLOCK_SIZE = 128
@@ -103,10 +103,6 @@ class StoreCacheEntry:
         if (self.valid >> offset) & 1:
             return self.data[offset]
         return None
-
-    def line(self) -> int:
-        """The 256-byte cache line containing this block."""
-        return line_address(self.block)
 
     def runs(self) -> List[Tuple[int, bytes]]:
         """Contiguous ``(address, data)`` runs of the valid bytes."""
@@ -183,23 +179,38 @@ class GatheringStoreCache:
     (``on_store_overflow``).
     """
 
-    __slots__ = ("capacity", "drain_threshold", "_queue", "_by_block",
-                 "_drained", "stats_gathered", "stats_allocated",
+    __slots__ = ("capacity", "drain_threshold", "line_size", "_line_mask",
+                 "_line_blocks", "_queue", "_by_block", "_drained",
+                 "stats_gathered", "stats_allocated",
                  "stats_drained_entries", "stats_occupancy_hwm")
 
     def __init__(
         self,
         entries: int = 64,
         drain_threshold: int = 8,
+        line_size: int = LINE_SIZE,
     ) -> None:
         if entries < 1:
             raise ProtocolError("store cache needs at least one entry")
+        if line_size < BLOCK_SIZE:
+            raise ConfigurationError(
+                f"cache line size {line_size} is smaller than the "
+                f"{BLOCK_SIZE}-byte store-cache gathering block"
+            )
         self.capacity = entries
         self.drain_threshold = drain_threshold
+        #: Cache line size of the hierarchy the XIs arrive from; a line
+        #: covers ``line_size // BLOCK_SIZE`` gathering blocks.
+        self.line_size = line_size
+        self._line_mask = ~(line_size - 1)
+        #: Block offsets within a line, so the XI compare probes the
+        #: block index instead of scanning the queue.
+        self._line_blocks = tuple(range(0, line_size, BLOCK_SIZE))
         self._queue: List[StoreCacheEntry] = []  # oldest first
         #: Block address -> entries for that block, in queue (age) order.
-        #: Pure index over ``_queue``: load forwarding does one dict
-        #: lookup per touched 128-byte block instead of scanning entries.
+        #: Pure index over ``_queue``: load forwarding and the XI compare
+        #: do one dict lookup per touched 128-byte block instead of
+        #: scanning entries.
         self._by_block: Dict[int, List[StoreCacheEntry]] = {}
         #: Contiguous (address, bytes) runs drained since the last
         #: ``take_drained`` call, in drain order.
@@ -226,11 +237,13 @@ class GatheringStoreCache:
 
     def tx_lines(self) -> Set[int]:
         """Line addresses held transactionally (the precise write set)."""
-        return {e.line() for e in self._queue if e.tx}
+        mask = self._line_mask
+        return {e.block & mask for e in self._queue if e.tx}
 
     def active_lines(self) -> Set[int]:
         """Line addresses of all active entries (XI-compare set)."""
-        return {e.line() for e in self._queue}
+        mask = self._line_mask
+        return {e.block & mask for e in self._queue}
 
     # -- store path ----------------------------------------------------------
 
@@ -241,47 +254,51 @@ class GatheringStoreCache:
         the cache full of current-transaction entries ("the LSU requests a
         transaction abort when the store cache overflows").
         """
+        length = len(data)
+        if length and (addr + length - 1) & _BLOCK_MASK == addr & _BLOCK_MASK:
+            # Single-block store — every store up to a doubleword that
+            # does not straddle a 128-byte boundary.
+            return self._store_block(addr, data, tx, ntstg)
         drained = 0
         pos = 0
-        while pos < len(data):
+        while pos < length:
             block = (addr + pos) & _BLOCK_MASK
-            take = min(len(data) - pos, block + BLOCK_SIZE - (addr + pos))
+            take = min(length - pos, block + BLOCK_SIZE - (addr + pos))
             drained += self._store_block(addr + pos, data[pos : pos + take], tx, ntstg)
             pos += take
         return drained
 
     def _store_block(self, addr: int, data: bytes, tx: bool, ntstg: bool) -> int:
         block = addr & _BLOCK_MASK
-        entry = self._gather_target(block, tx)
+        # Gather into the youngest open entry of the same kind: tx stores
+        # only into open tx entries, non-tx stores only into open non-tx
+        # ones.
+        entry = None
+        candidates = self._by_block.get(block)
+        if candidates:
+            for candidate in reversed(candidates):
+                if not candidate.closed and candidate.tx == tx:
+                    entry = candidate
+                    break
         drained = 0
+        queue = self._queue
         if entry is None:
-            if self.free_entries == 0:
+            if len(queue) >= self.capacity:
                 drained += self._make_room(tx)
             entry = StoreCacheEntry(block=block, tx=tx)
-            self._queue.append(entry)
+            queue.append(entry)
+            # Looked up again: making room may have drained this block's
+            # last entry and dropped its list.
             self._by_block.setdefault(block, []).append(entry)
             self.stats_allocated += 1
-            if len(self._queue) > self.stats_occupancy_hwm:
-                self.stats_occupancy_hwm = len(self._queue)
+            if len(queue) > self.stats_occupancy_hwm:
+                self.stats_occupancy_hwm = len(queue)
         else:
             self.stats_gathered += 1
         entry.gather(addr, data, ntstg=ntstg)
-        if not tx and self.free_entries < self.drain_threshold:
+        if not tx and self.capacity - len(queue) < self.drain_threshold:
             drained += self._drain_oldest_nontx()
         return drained
-
-    def _gather_target(self, block: int, tx: bool) -> Optional[StoreCacheEntry]:
-        """Youngest entry the store may gather into, if any.
-
-        Transactional stores gather only into open transactional entries;
-        non-transactional stores only into open non-transactional ones.
-        """
-        candidates = self._by_block.get(block)
-        if candidates:
-            for entry in reversed(candidates):
-                if not entry.closed and entry.tx == tx:
-                    return entry
-        return None
 
     def _unindex(self, entry: StoreCacheEntry) -> None:
         """Drop ``entry`` from the block index (it left the queue)."""
@@ -378,11 +395,12 @@ class GatheringStoreCache:
 
         Returns the set of line addresses whose buffered data was dropped.
         """
+        mask = self._line_mask
         dropped_lines: Set[int] = set()
         kept: List[StoreCacheEntry] = []
         for entry in self._queue:
             if entry.tx:
-                dropped_lines.add(entry.line())
+                dropped_lines.add(entry.block & mask)
                 if entry.strip_to_ntstg():
                     kept.append(entry)
                 else:
@@ -395,34 +413,52 @@ class GatheringStoreCache:
     # -- XI interface ------------------------------------------------------------
 
     def xi_compare(self, line: int) -> str:
-        """Classify an exclusive/demote XI against the cache.
+        """Classify an exclusive/demote XI for line address ``line``.
 
         Returns ``"clear"`` (no overlap), ``"reject"`` (overlaps a
         transactional entry — stiff-arm), or ``"drain"`` (overlaps only
         non-transactional entries, which must be written back before the XI
-        can be accepted).
+        can be accepted). Answered from the block index: one dict probe
+        per gathering block of the line.
         """
-        overlapping = [e for e in self._queue if e.line() == line]
-        if not overlapping:
+        by_block = self._by_block
+        if not by_block:
             return "clear"
-        if any(e.tx for e in overlapping):
-            return "reject"
-        return "drain"
+        verdict = "clear"
+        for offset in self._line_blocks:
+            candidates = by_block.get(line + offset)
+            if candidates:
+                for entry in candidates:
+                    if entry.tx:
+                        return "reject"
+                verdict = "drain"
+        return verdict
 
     def drain_line(self, line: int) -> int:
         """Write back all non-tx entries for ``line``; returns count drained."""
-        drained = 0
-        remaining: List[StoreCacheEntry] = []
-        for entry in self._queue:
-            if entry.line() == line and not entry.tx:
-                self._drained.extend(entry.runs())
-                self._unindex(entry)
-                self.stats_drained_entries += 1
-                drained += 1
-            else:
-                remaining.append(entry)
-        self._queue = remaining
-        return drained
+        by_block = self._by_block
+        doomed: List[StoreCacheEntry] = []
+        blocks = 0
+        for offset in self._line_blocks:
+            candidates = by_block.get(line + offset)
+            if candidates:
+                picked = [e for e in candidates if not e.tx]
+                if picked:
+                    doomed += picked
+                    blocks += 1
+        if not doomed:
+            return 0
+        queue = self._queue
+        if blocks > 1:
+            # Each block's list is already in age order; entries of
+            # different blocks drain in queue order, as a scan would.
+            doomed.sort(key=queue.index)
+        for entry in doomed:
+            self._drained.extend(entry.runs())
+            queue.remove(entry)
+            self._unindex(entry)
+        self.stats_drained_entries += len(doomed)
+        return len(doomed)
 
     def drain_all(self) -> int:
         """Write back everything non-transactional (quiesce/commit path)."""

@@ -17,8 +17,7 @@ sent hierarchically from higher-level to lower-level caches (section III.A):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class XiType(enum.Enum):
@@ -43,9 +42,13 @@ class XiResponse(enum.Enum):
     REJECT = "reject"
 
 
-@dataclass(frozen=True)
-class Xi:
-    """One cross-interrogate sent to one target CPU."""
+class Xi(NamedTuple):
+    """One cross-interrogate sent to one target CPU.
+
+    A ``NamedTuple`` rather than a frozen dataclass: every miss that
+    finds an owner builds one, and a tuple is built in one C call
+    instead of one ``object.__setattr__`` per field.
+    """
 
     xi_type: XiType
     line: int

@@ -6,10 +6,12 @@ import pytest
 
 from conftest import EngineHarness, small_params
 
+from repro.bench.figures import UpdateExperiment, run_update_experiment
 from repro.core.abort import AbortCode
 from repro.errors import TransactionAbortSignal
+from repro.mem.fabric import CoherenceFabric
 from repro.mem.shared import L3Cache, L4Cache
-from repro.params import CacheGeometry
+from repro.params import ZEC12, CacheGeometry
 
 
 class TestSharedCacheUnit:
@@ -95,3 +97,53 @@ class TestLruXiCascade:
         assert not harness.fabric.l4s[0].contains(lines[0])
         assert not harness.fabric.l3s[0].contains(lines[0])
         assert 0 not in harness.fabric.line_info(lines[0]).owners()
+
+
+# ----------------------------------------------------------------------
+# a whole sweep point on a shrunken L3/L4: LRU cascades under contention
+# ----------------------------------------------------------------------
+
+#: ((scheme, pool, L3 geometry, L4 geometry),
+#:  (cycles, instructions, tx_started, tx_aborted, xi_rejects)) — 12-CPU,
+#: 4-variable, 10-iteration update points whose chip L3s and MCM L4 are
+#: small enough that installs evict and cascade LRU XIs. The sweep points
+#: never evict from an L3 or L4, so these are the pins that catch a
+#: shared-cache LRU stamp (source-lookup touch, install refresh) choosing
+#: a different victim.
+EVICTION_POINTS = [
+    (("tbegin", 400, CacheGeometry(ways=4, rows=16),
+      CacheGeometry(ways=8, rows=16)),
+     (21722, 3194, 152, 32, 57)),
+    (("tbeginc", 200, CacheGeometry(ways=4, rows=8),
+      CacheGeometry(ways=8, rows=8)),
+     (28955, 2332, 160, 40, 176)),
+]
+
+
+@pytest.mark.parametrize("point,pinned", EVICTION_POINTS,
+                         ids=[p[0] for p, _ in EVICTION_POINTS])
+def test_eviction_point_is_pinned(point, pinned, monkeypatch):
+    scheme, pool, l3, l4 = point
+    cascades = {"l3": 0, "l4": 0}
+    for level in cascades:
+        name = f"_lru_cascade_{level}"
+        original = getattr(CoherenceFabric, name)
+
+        def counted(self, cpu, victim, _original=original, _level=level):
+            cascades[_level] += 1
+            return _original(self, cpu, victim)
+
+        monkeypatch.setattr(CoherenceFabric, name, counted)
+    params = dataclasses.replace(ZEC12, fallback_mode="lock", l3=l3, l4=l4)
+    result = run_update_experiment(
+        UpdateExperiment(scheme, 12, pool, 4, iterations=10), params=params
+    )
+    # The point only guards the eviction paths if they actually run.
+    assert cascades["l3"] > 0 and cascades["l4"] > 0
+    assert (
+        result.cycles,
+        sum(c.instructions for c in result.cpus),
+        sum(c.tx_started for c in result.cpus),
+        sum(c.tx_aborted for c in result.cpus),
+        sum(c.xi_rejects for c in result.cpus),
+    ) == pinned

@@ -1,8 +1,16 @@
 """Unit tests for the gathering store cache (paper section III.D)."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import EngineHarness, small_params
+
+from repro.core.abort import AbortCode
+from repro.core.engine import FetchRetry
+from repro.errors import ConfigurationError
 from repro.mem.storecache import (
     BLOCK_SIZE,
     GatheringStoreCache,
@@ -184,3 +192,137 @@ def test_drain_everything_reaches_memory_once(addresses):
     final = drained_bytes(cache)
     for addr, value in expected.items():
         assert final.get(addr) == value
+
+
+# ----------------------------------------------------------------------
+# line size: the XI compare works on the hierarchy's line, whatever its
+# size, and answers from the block index exactly as a queue scan would
+# ----------------------------------------------------------------------
+
+LINE_SIZES = (128, 256)
+
+
+def _line_params(line_size, n_cpus=2):
+    """Unit-test machine whose L1 through L4 all use ``line_size``."""
+    base = small_params(n_cpus)
+    return dataclasses.replace(base, **{
+        level: dataclasses.replace(getattr(base, level), line_size=line_size)
+        for level in ("l1", "l2", "l3", "l4")
+    })
+
+
+@pytest.mark.parametrize("line_size", LINE_SIZES)
+def test_xi_compare_uses_the_configured_line_size(line_size):
+    cache = GatheringStoreCache(entries=4, drain_threshold=0,
+                                line_size=line_size)
+    cache.store(0x10080, b"\x01", tx=True)
+    line = 0x10080 & ~(line_size - 1)
+    assert cache.xi_compare(line) == "reject"
+    assert cache.tx_lines() == {line}
+    assert cache.active_lines() == {line}
+    assert cache.abort_transaction() == {line}
+
+
+@pytest.mark.parametrize("line_size", LINE_SIZES)
+def test_conflicting_store_is_stiff_armed_then_aborts_owner(line_size):
+    """A foreign store to a transactionally written address is rejected
+    until the hang-avoidance threshold, which aborts the owner — at every
+    line size, not only the 256-byte default."""
+    harness = EngineHarness(params=_line_params(line_size), n_cpus=2)
+    owner, requester = harness.engine(0), harness.engine(1)
+    addr = 0x10080
+    harness.tbegin(0)
+    harness.store(0, addr, 1)
+    assert owner.store_cache.xi_compare(addr & ~(line_size - 1)) == "reject"
+    threshold = harness.params.tx.xi_reject_threshold
+    attempts = 0
+    while True:
+        attempts += 1
+        try:
+            harness.clock[0] += requester.store(addr, 2)
+            break
+        except FetchRetry as retry:
+            harness.clock[0] += retry.delay
+        assert attempts < 100
+    assert owner.stats_xi_rejected == threshold - 1
+    assert owner.pending_abort is not None
+    assert owner.pending_abort.code == AbortCode.STORE_CONFLICT
+
+
+def test_line_smaller_than_gathering_block_is_rejected():
+    with pytest.raises(ConfigurationError):
+        EngineHarness(params=_line_params(64), n_cpus=1)
+
+
+def _ref_line(entry, line_size):
+    return entry.block & ~(line_size - 1)
+
+
+def _ref_xi_compare(cache, line):
+    hits = [e for e in cache._queue if _ref_line(e, cache.line_size) == line]
+    if not hits:
+        return "clear"
+    return "reject" if any(e.tx for e in hits) else "drain"
+
+
+def _check_index(cache):
+    rebuilt = {}
+    for entry in cache._queue:
+        rebuilt.setdefault(entry.block, []).append(entry)
+    assert cache._by_block == rebuilt
+
+
+@pytest.mark.parametrize("line_size", LINE_SIZES)
+@pytest.mark.parametrize("seed", range(6))
+def test_indexed_xi_compare_matches_queue_scan(line_size, seed):
+    """Differential: random store/gather/begin/end/abort/drain sequences;
+    after each step the indexed XI compare, line drain and write set
+    agree with a reference scan over the queue."""
+    rng = random.Random(seed)
+    cache = GatheringStoreCache(entries=8, drain_threshold=2,
+                                line_size=line_size)
+    span = 4 * line_size
+    lines = range(0, span, line_size)
+    in_tx = False
+    for _ in range(400):
+        op = rng.choice(("store", "store", "gather", "begin", "end",
+                         "abort", "drain"))
+        if op in ("store", "gather"):
+            if op == "gather" and cache._queue:
+                block = rng.choice(cache._queue).block
+                addr = block + rng.randrange(0, BLOCK_SIZE - 8)
+            else:
+                addr = rng.randrange(0, span - 16)
+            data = bytes([rng.randrange(256)]) * rng.choice((1, 2, 4, 8, 16))
+            try:
+                cache.store(addr, data, tx=in_tx,
+                            ntstg=in_tx and rng.random() < 0.2)
+            except StoreCacheOverflow:
+                cache.abort_transaction()
+                in_tx = False
+        elif op == "begin" and not in_tx:
+            cache.begin_transaction()
+            in_tx = True
+        elif op == "end" and in_tx:
+            cache.end_transaction()
+            in_tx = False
+        elif op == "abort" and in_tx:
+            expected = {_ref_line(e, line_size) for e in cache._queue if e.tx}
+            assert cache.abort_transaction() == expected
+            in_tx = False
+        elif op == "drain":
+            line = rng.choice(lines)
+            cache.take_drained()
+            doomed = [e for e in cache._queue
+                      if _ref_line(e, line_size) == line and not e.tx]
+            runs = [run for e in doomed for run in e.runs()]
+            kept = [e for e in cache._queue if e not in doomed]
+            assert cache.drain_line(line) == len(doomed)
+            assert cache.take_drained() == runs
+            assert cache._queue == kept
+        _check_index(cache)
+        for line in lines:
+            assert cache.xi_compare(line) == _ref_xi_compare(cache, line)
+        assert cache.tx_lines() == {
+            _ref_line(e, line_size) for e in cache._queue if e.tx
+        }
