@@ -11,18 +11,13 @@ Run with::
 
     python benchmarks/run_figures.py [--quick] [--workers N] [--no-cache]
                                      [--metrics] [--metrics-out FILE]
-                                     [--panels 5a,5b,...] [--service ADDR]
-                                     [--service-stream FILE]
+                                     [--panels 5a,5b,...]
 
 Each panel prints its own wall time; any panel failure is reported and
 turns the final exit status non-zero instead of killing the run mid-way.
 
-``--service ADDR`` routes every point through a running sweep service
-(``python -m repro.serve serve``) instead of the in-process executor;
-the printed series are bit-identical either way (the service preserves
-the determinism contract). ``--service-stream FILE`` appends each
-streamed point to a JSONL file as it lands. ``--panels`` selects a
-subset of panels (comma-separated among 5a..5f and "scalars").
+``--panels`` selects a subset of panels (comma-separated among 5a..5f
+and "scalars").
 
 ``--metrics`` attaches the :mod:`repro.sim.metrics` registry to every
 simulation point (identical architected results, slower wall clock),
@@ -89,12 +84,6 @@ def main() -> int:
     parser.add_argument("--panels", default=None, metavar="LIST",
                         help="comma-separated subset of panels to run "
                              "(5a,5b,5c,5d,5e,5f,scalars; default: all)")
-    parser.add_argument("--service", default=None, metavar="ADDR",
-                        help="route all points through the sweep service "
-                             "at host:port or unix:/path")
-    parser.add_argument("--service-stream", default=None, metavar="FILE",
-                        help="with --service: append streamed points to "
-                             "this JSONL file as they land")
     args = parser.parse_args()
 
     grid = QUICK_CPU_GRID if args.quick else DEFAULT_CPU_GRID
@@ -102,21 +91,6 @@ def main() -> int:
     workers = max(1, args.workers)
     cache = None if args.no_cache else ResultCache(default_cache_root())
     use_metrics = args.metrics
-
-    client = None
-    if args.service:
-        from repro.serve.client import SweepClient
-
-        client = SweepClient(args.service,
-                             stream_log=args.service_stream)
-        runner = client.run_tasks
-        exec_tasks = client.run_tasks
-    else:
-        runner = None
-
-        def exec_tasks(tasks, metrics=False):
-            return run_tasks(tasks, workers=workers, cache=cache,
-                             metrics=metrics)
 
     selected = None
     if args.panels:
@@ -126,7 +100,7 @@ def main() -> int:
         if unknown:
             parser.error(f"unknown panels: {', '.join(sorted(unknown))}")
     #: JSONL records in collection order (deterministic: panels run in a
-    #: fixed order and every executor preserves submission order).
+    #: fixed order and run_tasks preserves submission order).
     metrics_records = []
     failures = []
     t0 = time.time()
@@ -157,8 +131,7 @@ def main() -> int:
     def sweep_panel(schemes, pool, n_vars, title="", chart=False):
         points = parallel_sweep(schemes, grid, pool, n_vars,
                                 iterations=iters, workers=workers,
-                                cache=cache, metrics=use_metrics,
-                                runner=runner)
+                                cache=cache, metrics=use_metrics)
         for p in points:
             note_metrics(title or f"pool {pool} vars {n_vars}",
                          f"{p.scheme}/{p.n_cpus}cpu", p.metrics)
@@ -191,7 +164,8 @@ def main() -> int:
                           HashtableExperiment(n, elide=False, operations=50)))
             tasks.append(("hashtable",
                           HashtableExperiment(n, elide=True, operations=50)))
-        results = exec_tasks(tasks, metrics=use_metrics)
+        results = run_tasks(tasks, workers=workers, cache=cache,
+                            metrics=use_metrics)
         for (_, experiment), result in zip(tasks, results):
             note_metrics("fig5e",
                          f"hashtable/{experiment.n_threads}thr/"
@@ -210,7 +184,7 @@ def main() -> int:
                  for n in counts]
         tasks += [("footprint", FootprintTask(n, True, trials=trials))
                   for n in counts]
-        rates = exec_tasks(tasks)
+        rates = run_tasks(tasks, workers=workers, cache=cache)
         without = [FootprintPoint(n, rates[i]) for i, n in enumerate(counts)]
         with_ext = [FootprintPoint(n, rates[len(counts) + i])
                     for i, n in enumerate(counts)]
@@ -229,7 +203,8 @@ def main() -> int:
             ("queue", QueueExperiment(4, use_tx=False, operations=40)),
             ("queue", QueueExperiment(4, use_tx=True, operations=40)),
         ]
-        results = exec_tasks(tasks, metrics=use_metrics)
+        results = run_tasks(tasks, workers=workers, cache=cache,
+                            metrics=use_metrics)
         for (kind, experiment), result in zip(tasks, results):
             note_metrics("scalars", f"{kind}/{experiment}",
                          getattr(result, "metrics", None))
@@ -256,9 +231,6 @@ def main() -> int:
     panel("5f", "Figure 5(f): LRU extension vs fetch footprint", fig5f)
     panel("scalars", "Scalar results", scalars)
 
-    if client is not None:
-        client.close()
-
     if use_metrics:
         banner("Abort-attribution metrics (aggregate of all points)")
         aggregate = merge_summaries(
@@ -277,8 +249,7 @@ def main() -> int:
             failures.append("metrics-out")
             print(f"FAILED writing {args.metrics_out}: {exc}")
 
-    mode = (f"service {args.service}" if args.service else
-            f"{workers} worker{'s' if workers != 1 else ''}, "
+    mode = (f"{workers} worker{'s' if workers != 1 else ''}, "
             f"cache {'off' if cache is None else 'on'}")
     print()
     print(f"total runtime: {time.time() - t0:.0f}s ({mode})")

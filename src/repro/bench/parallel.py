@@ -13,7 +13,8 @@ in which order. This module exploits that in two ways:
   params, code version) lets re-runs of ``benchmarks/run_figures.py``
   skip already-computed points. The code-version component hashes the
   ``repro`` package sources, so editing the simulator invalidates the
-  cache automatically.
+  cache automatically. Writes are atomic and a damaged entry reads as a
+  miss, so concurrent or crashed sweeps never poison a later one.
 
 A *task* is ``(kind, experiment)`` where ``kind`` selects the runner:
 
@@ -27,16 +28,12 @@ footprint  :class:`FootprintTask`                       abort rate float
 vacation   :class:`~repro.workloads.stamp.VacationExperiment` ``SimResult``
 kmeans     :class:`~repro.workloads.stamp.KmeansExperiment`   ``SimResult``
 ========== ============================================ =================
-
-The same tasks (and the same keys) drive the scale-out sweep service in
-:mod:`repro.serve`, which generalises :class:`ResultCache` into a tiered
-content-addressed store and fans tasks out across worker processes and
-machines — still bit-identical to a serial :func:`run_tasks` run.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -46,7 +43,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..core.footprint import resolve_policy_spec
 from ..params import MachineParams, ZEC12
 from ..stm import resolve_fallback_mode
-from ..serve.store import atomic_write_json, read_json_payload
 from ..sim.results import CpuResult, SimResult
 from ..workloads.hashtable import HashtableExperiment, run_hashtable_experiment
 from ..workloads.queue import QueueExperiment, run_queue_experiment
@@ -146,9 +142,8 @@ def set_code_version(version: str) -> None:
     """Seed the per-process code-version cache.
 
     The parent computes :func:`code_version` once and passes it to every
-    spawned worker process (pool initializer) and worker agent
-    (``$REPRO_CODE_VERSION``), so short sweeps never pay for re-hashing
-    the whole ``repro`` package in each child.
+    worker process through the pool initializer, so short sweeps never
+    pay for re-hashing the whole ``repro`` package in each child.
     """
     global _CODE_VERSION
     _CODE_VERSION = version
@@ -159,16 +154,12 @@ def code_version() -> str:
 
     Any edit to the simulator changes the version and therefore every
     cache key, so a stale cache can never leak results from old code.
-    A value seeded by :func:`set_code_version` or ``$REPRO_CODE_VERSION``
-    short-circuits the package hash (trusted: the parent that exported
-    it computed it from the same sources it shipped us).
+    A value seeded by :func:`set_code_version` short-circuits the
+    package hash (trusted: the parent that seeded it computed it from
+    the same sources).
     """
     global _CODE_VERSION
     if _CODE_VERSION is None:
-        seeded = os.environ.get("REPRO_CODE_VERSION")
-        if seeded:
-            _CODE_VERSION = seeded
-            return _CODE_VERSION
         package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         digest = hashlib.sha256()
         for dirpath, dirnames, filenames in sorted(os.walk(package_root)):
@@ -218,15 +209,57 @@ def task_key(kind: str, experiment: Any, params: MachineParams,
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
 
 
+#: Process-wide counter so two threads writing the same key never share a
+#: tmp file (the pid alone is not unique within a process).
+_TMP_COUNTER = itertools.count()
+
+
+def atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
+    """Publish ``payload`` at ``path`` atomically.
+
+    The tmp file lives in the destination directory so ``os.replace`` is
+    a same-filesystem rename; its name is unique per (pid, call) so
+    concurrent writers — including threads of one process — never
+    interleave into the same tmp file.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.tmp.{os.getpid()}.{next(_TMP_COUNTER)}"
+    try:
+        with open(tmp, "w") as handle:
+            json.dump(payload, handle)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def read_json_payload(path: str) -> Optional[Dict[str, Any]]:
+    """Read a stored payload; any damage reads as a miss (``None``).
+
+    Tolerates the file being absent, unreadable, torn mid-write by a
+    non-atomic producer, or not the dict shape :mod:`repro.bench.parallel`
+    writes (every legitimate payload carries a ``"type"`` field).
+    """
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(payload, dict) or "type" not in payload:
+        return None
+    return payload
+
+
 class ResultCache:
     """One JSON file per computed point under ``root``.
 
-    The single-directory ancestor of the tiered
-    :class:`repro.serve.store.ResultStore`; both share the same atomic
-    write/tolerant read helpers, so a cache directory doubles as the
-    store's disk tier. ``put`` publishes via a unique tmp file +
-    ``os.replace`` (atomic even with concurrent same-key writers across
-    processes *and* threads) and ``get`` treats torn, corrupt, or
+    ``put`` publishes via :func:`atomic_write_json` (a unique tmp file +
+    ``os.replace``, atomic even with concurrent same-key writers across
+    processes *and* threads) and ``get`` reads via
+    :func:`read_json_payload`, which treats torn, corrupt, or
     wrong-shaped entries as misses, so a crashed or racing writer can
     never poison later sweeps.
     """
@@ -371,16 +404,11 @@ def parallel_sweep(
     workers: int = 1,
     cache: Optional[ResultCache] = None,
     metrics: bool = False,
-    runner: Optional[Any] = None,
 ) -> List[SweepPoint]:
     """Parallel drop-in for :func:`repro.bench.figures.sweep`.
 
     Produces the same points in the same order: the normalisation
-    baseline rides along as the first task. ``runner`` substitutes a
-    different executor with the :func:`run_tasks` calling convention —
-    e.g. :meth:`repro.serve.client.SweepClient.run_tasks` to route the
-    sweep through a running service (``workers``/``cache`` are then the
-    service's business, not ours).
+    baseline rides along as the first task.
     """
     tasks: List[Task] = [baseline_task(iterations)]
     for scheme in schemes:
@@ -392,11 +420,8 @@ def parallel_sweep(
                                      iterations),
                 )
             )
-    if runner is not None:
-        results = runner(tasks, params=params, metrics=metrics)
-    else:
-        results = run_tasks(tasks, params=params, workers=workers,
-                            cache=cache, metrics=metrics)
+    results = run_tasks(tasks, params=params, workers=workers,
+                        cache=cache, metrics=metrics)
     base = results[0].throughput
     points: List[SweepPoint] = []
     for (_, experiment), result in zip(tasks[1:], results[1:]):

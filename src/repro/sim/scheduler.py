@@ -352,7 +352,13 @@ class Scheduler:
                 if limit is None and self._n_retry_parked == 0:
                     self._raise_parked_deadlock()
             if solo_waiters or deferred or self._stop_applied_for != "idle":
-                event = self._step_parked(time, index, rec)
+                # Solo machinery engaged: every non-solo pop was deferred
+                # above unless this CPU is an STM committer holding
+                # orecs, whose broadcast-stop flag makes a retry tick
+                # wake it anyway. A wake is exact at any pop, so un-park
+                # and run this very event for real.
+                self.wake_parked(index)
+                event = (time, 0, index)
                 continue
             event = self._drain_parked(time, index, rec, limit_t)
             if event is _BUDGET:
@@ -364,36 +370,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     # parked placeholder events
     # ------------------------------------------------------------------
-
-    def _step_parked(self, time: int, index: int, rec):
-        """Advance a parked chain by a single event while the solo
-        machinery is engaged; the pushed successor goes back through the
-        full outer-loop checks so it can be deferred like any other
-        event. Returns the event to run next, or None to pop the queue.
-        """
-        if time > self.now:
-            self.now = time
-        if rec.is_retry:
-            end = self._retry_tick(rec, time)
-            if end < 0:
-                # The pending fetch would leave the retry chain
-                # (success, abort, broadcast-stop): un-park and
-                # re-execute this very event for real. The sequence
-                # number no longer matters — the event never re-enters
-                # the queue.
-                self.wake_parked(index)
-                return (time, 0, index)
-        else:
-            pos = rec.pos
-            end = time + rec.lats[pos]
-            rec.steps += 1
-            rec.pos = rec.nxt[pos]
-        if end > self._horizon:
-            self._horizon = end
-        self._push(end, index)
-        if self._deferred and self._solo_index() is None:
-            self._flush_deferred()
-        return None
 
     def _drain_parked(self, time: int, index: int, rec, limit_t: int):
         """Advance placeholder events, starting with parked CPU

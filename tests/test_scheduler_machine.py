@@ -1,8 +1,10 @@
 """Scheduler and machine-level tests."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.engine import FetchRetry
+from repro.core.engine import FetchRetry, RetryPark
 from repro.cpu.assembler import assemble
 from repro.cpu.isa import AGSI, AHI, HALT, JNZ, LHI, Mem
 from repro.errors import ConfigurationError
@@ -186,6 +188,40 @@ class TestScheduler:
         scheduler = Scheduler([a, b])
         scheduler.run()
         assert b_times == [10]
+
+    def test_retry_parked_stm_committer_wakes_under_broadcast_stop(self):
+        # b is a software (STM) committer holding orecs, so its events
+        # are exempt from a's broadcast-stop. Its first step parks it on
+        # a retry chain while a holds the token; the parked event must
+        # wake b and run for real rather than advance as a placeholder.
+        a = FakeDriver([1, 1])
+        a.engine.solo_requested = True
+        b_engine = FakeEngine()
+        b_engine.pending_abort = None
+        b_engine.stm = SimpleNamespace(commit_holds_locks=True)
+        rec = SimpleNamespace(is_retry=True, engine=b_engine, ticks=0)
+        b = FakeDriver([RetryPark(rec), 3], engine=b_engine)
+        unparks = []
+        b.retry_unpark = lambda: unparks.append(scheduler.now)
+        real_steps = []
+        orig = b.step
+
+        def step():
+            real_steps.append((scheduler.now, b_engine.stopped_by_broadcast))
+            return orig()
+
+        b.step = step
+        scheduler = Scheduler([a, b])
+        scheduler.run()
+        assert a.done and b.done
+        assert scheduler.stats_retry_parks == 1
+        assert scheduler.stats_retry_wakes == 1
+        assert len(unparks) == 1
+        # The parking step, then the same event at t=0 run for real while
+        # b is still broadcast-stopped.
+        assert real_steps == [(0, True), (0, True)]
+        assert not scheduler._parked
+        assert scheduler.now == 3
 
 
 class TestMachine:
