@@ -104,6 +104,8 @@ def capacity_point(
         except TransactionAbortSignal:
             engine.process_abort()
             aborts += 1
+    engine.close()
+    fabric.close()
     return CapacityPoint(
         policy=policy,
         accessed_lines=accessed_lines,

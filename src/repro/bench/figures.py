@@ -52,6 +52,10 @@ def run_update_experiment(
     architected result is identical either way. Passing the string
     ``"tx_log"`` instead of True additionally records the global-order
     transaction-outcome log (``result.tx_log``).
+
+    The machine is closed before the result is returned (see
+    :meth:`repro.sim.machine.Machine.close`), so it is freed by
+    refcounting as soon as this function returns.
     """
     machine_params = params.with_cpus(experiment.n_cpus)
     layout = PoolLayout(experiment.pool_size)
@@ -74,6 +78,8 @@ def run_update_experiment(
     result = machine.run(max_cycles=max_cycles)
     if registry is not None:
         result.metrics = registry.summary()
+        registry.detach()
+    machine.close()
     return result
 
 

@@ -94,6 +94,8 @@ def footprint_abort_rate(
         except TransactionAbortSignal:
             engine.process_abort()
             aborts += 1
+    engine.close()
+    fabric.close()
     return aborts / trials
 
 

@@ -593,6 +593,20 @@ class TxEngine(CpuPort):
         self.store_cache.drain_all()
         self._apply_drained_runs()
 
+    def close(self) -> None:
+        """Break the back-edges of this engine's object graph once it is
+        finished (see :meth:`repro.sim.machine.Machine.close`): the
+        hybrid-mode method aliases bound to this engine, the footprint
+        policy's references to it and to the L1, and the STM runtime's
+        references to it. Statistics stay readable; the engine cannot
+        execute afterwards."""
+        for name in ("load", "store", "add_to_storage", "compare_and_swap",
+                     "ntstg"):
+            self.__dict__.pop(name, None)
+        self.footprint.unbind()
+        if self.stm is not None:
+            self.stm.close()
+
     def _apply_drained_runs(self) -> None:
         """Apply pending store-cache drains to memory (common chokepoint).
 

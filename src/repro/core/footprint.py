@@ -115,6 +115,11 @@ class FootprintPolicy:
         """Attach the L1 whose directory geometry the policy tracks."""
         self._l1 = l1
 
+    def unbind(self) -> None:
+        """Drop the engine and L1 references (the engine is closing)."""
+        self._engine = None
+        self._l1 = None
+
     def store_cache_entries(self, tx_limits) -> int:
         """Capacity of the gathering store cache for this policy."""
         return tx_limits.store_cache_entries

@@ -389,6 +389,13 @@ class IsaCpu:
             decoded[address] = _Decoded(insn, handler, insn.pseudo, next_ia)
         return decoded
 
+    def close(self) -> None:
+        """Drop the decode table, whose per-instruction handlers capture
+        this CPU (see :meth:`repro.sim.machine.Machine.close`). The CPU
+        cannot step afterwards; its statistics stay readable."""
+        self._decoded = {}
+        self._decoded_get = self._decoded.get
+
     # ------------------------------------------------------------------
     # spin-wait elision: static candidate analysis and batching
     # ------------------------------------------------------------------

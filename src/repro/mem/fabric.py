@@ -227,6 +227,19 @@ class CoherenceFabric:
             )
         )
 
+    def close(self) -> None:
+        """Drop every callback and port that refers back to the CPUs,
+        the scheduler or this fabric (see
+        :meth:`repro.sim.machine.Machine.close`). The statistics stay
+        readable; the fabric cannot serve fetches afterwards."""
+        self.clock = None
+        self.wake_sink = None
+        self._ports = []
+        self._l1_evict_cbs = []
+        self._l2_evict_cbs = []
+        self._l3_install_cbs = []
+        self._l4_install_cbs = []
+
     @property
     def cpu_count(self) -> int:
         return len(self._ports)

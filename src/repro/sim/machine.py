@@ -82,6 +82,8 @@ class Machine:
         #: Programs attached via :meth:`add_program` (None for custom
         #: drivers) — lets ``REPRO_CHECK=1`` rebuild a reference run.
         self._programs: List[Optional[Program]] = []
+        #: Set by :meth:`close`; a closed machine cannot run again.
+        self._closed = False
 
     # ------------------------------------------------------------------
 
@@ -100,6 +102,7 @@ class Machine:
         return resolve_fallback_mode(self.params)
 
     def _new_engine(self) -> TxEngine:
+        self._check_open()
         cpu_id = len(self.engines)
         if cpu_id >= self.params.topology.total_cores:
             raise ConfigurationError(
@@ -110,6 +113,10 @@ class Machine:
                           self.page_table)
         self.engines.append(engine)
         return engine
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ConfigurationError("machine is closed")
 
     def _now(self) -> int:
         return self.scheduler.now if self.scheduler is not None else 0
@@ -158,6 +165,7 @@ class Machine:
 
     def run(self, max_cycles: Optional[int] = None) -> SimResult:
         """Run all drivers to completion; returns the collected results."""
+        self._check_open()
         if not self.drivers:
             raise ConfigurationError("no CPUs attached to the machine")
         check = (
@@ -239,6 +247,7 @@ class Machine:
         ref.memory._pages.update(ref_pages)
         ref.schedule_perturb = ref_perturb
         ref_result = ref.run(max_cycles=max_cycles)
+        ref.close()
         if ref_result != result:
             raise ProtocolError(
                 "spin-elision divergence: elided run "
@@ -263,6 +272,42 @@ class Machine:
                 "spin-elision divergence: final memory differs on "
                 f"page(s) {diff}"
             )
+
+    def close(self) -> None:
+        """Break the reference cycles of a finished machine.
+
+        A machine that has run is one strongly connected object graph:
+        each CPU's pre-decoded handlers capture the CPU, each engine
+        aliases its own bound methods and is listed by the fabric, the
+        fabric holds the scheduler's wake callback, and the fabric clock
+        and the mark recorders call back into the machine. Only the
+        cyclic garbage collector could free such a graph. ``close()``
+        cuts those back-edges, so the whole machine is freed by
+        refcounting the moment its owner drops it.
+
+        After ``close()``, :attr:`memory`, :attr:`params` and every
+        :class:`SimResult` already returned stay readable, as do the
+        engines' and the fabric's ``stats_*`` counters; :meth:`run`,
+        :meth:`add_program` and :meth:`add_driver` raise
+        :class:`ConfigurationError`. Closing twice is a no-op. Owners
+        that discard a machine after reading its result call it: the
+        verify oracles' ``run_case``, the figure, queue, hash-table and
+        STAMP experiments, and the ``REPRO_CHECK=1`` reference run.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        for driver in self.drivers:
+            close = getattr(driver, "close", None)
+            if close is not None:
+                close()
+        for engine in self.engines:
+            engine.close()
+        for recorder in self._recorders:
+            recorder._clock = None
+        self.fabric.close()
+        if self.scheduler is not None:
+            self.scheduler.pre_step = None
 
     def _cpu_result(self, index: int) -> CpuResult:
         engine = self.engines[index]

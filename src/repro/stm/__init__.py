@@ -202,6 +202,14 @@ class StmRuntime:
     # lifecycle
     # ------------------------------------------------------------------
 
+    def close(self) -> None:
+        """Drop the references back to the engine (it is closing)."""
+        self.engine = None
+        self._raw_load = None
+        self._raw_store = None
+        self._raw_cas = None
+        self._raw_ntstg = None
+
     def begin(self, ia: int, resume_ia: int, gr_snapshot: List[int]) -> int:
         """SBEGIN: sample the clock and open a software transaction."""
         value, latency = self._raw_load(GCLOCK_ADDR, 8)

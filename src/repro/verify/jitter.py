@@ -17,13 +17,25 @@ import random
 class ScheduleJitter:
     """Adds ``0..magnitude`` cycles to each step, from a seeded stream."""
 
-    __slots__ = ("magnitude", "_rng")
+    __slots__ = ("magnitude", "_rng", "_n", "_k")
 
     def __init__(self, seed: int, magnitude: int) -> None:
         self.magnitude = magnitude
         self._rng = random.Random(seed)
+        # Draw bound and its bit width, for the rejection sampling below.
+        self._n = magnitude + 1
+        self._k = self._n.bit_length()
 
     def __call__(self, index: int, latency: int) -> int:
         if self.magnitude <= 0:
             return latency
-        return latency + self._rng.randrange(self.magnitude + 1)
+        # ``randrange(n)`` by hand: draw ``n.bit_length()`` bits and
+        # reject values >= n. This is the algorithm ``randrange`` itself
+        # runs (Python 3.9 through 3.12), so the stream is identical,
+        # without its argument checks.
+        n = self._n
+        getrandbits = self._rng.getrandbits
+        draw = getrandbits(self._k)
+        while draw >= n:
+            draw = getrandbits(self._k)
+        return latency + draw

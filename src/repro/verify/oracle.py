@@ -86,7 +86,12 @@ def case_params(n_cpus: int, speculation: bool,
 
 @dataclass
 class CaseOutcome:
-    """One executed case, with everything the checks need."""
+    """One executed case, with everything the checks need.
+
+    ``machine`` is closed (see :meth:`repro.sim.machine.Machine.close`):
+    its ``memory`` and ``params`` stay readable for the oracles, but it
+    cannot run again.
+    """
 
     result: SimResult
     machine: Machine
@@ -118,13 +123,16 @@ def build_case_machine(
 
 
 def run_case(case: Dict[str, Any]) -> CaseOutcome:
-    """Lower, run under the case's schedule jitter, collect the tx log."""
+    """Lower, run under the case's schedule jitter, collect the tx log,
+    then detach the log and close the machine."""
     machine, lowered = build_case_machine(case)
     # The oracles read only the tx log, so record it without the
     # per-CPU histograms of a full MetricsRegistry.
     log = TxLog().attach(machine)
     result = machine.run(max_cycles=case["max_cycles"])
     result.metrics = {"tx_log": log.to_dict()}
+    log.detach()
+    machine.close()
     return CaseOutcome(result=result, machine=machine, lowered=lowered)
 
 

@@ -75,4 +75,6 @@ def run_queue_experiment(
     result = machine.run(max_cycles=max_cycles)
     if registry is not None:
         result.metrics = registry.summary()
+        registry.detach()
+    machine.close()
     return result

@@ -143,6 +143,8 @@ def run_vacation(experiment: VacationExperiment,
         engine.quiesce()
     if registry is not None:
         result.metrics = registry.summary()
+        registry.detach()
+    machine.close()
     return result
 
 
@@ -221,4 +223,6 @@ def run_kmeans(experiment: KmeansExperiment,
         engine.quiesce()
     if registry is not None:
         result.metrics = registry.summary()
+        registry.detach()
+    machine.close()
     return result

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import json
+import random
 
 import pytest
 
@@ -124,6 +125,19 @@ class TestGeneratorDeterminism:
         assert seq_a == seq_b
         assert all(lat <= out <= lat + 40
                    for (_, lat), out in zip(pairs, seq_a))
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_schedule_jitter_draws_match_randrange(self, seed):
+        # The jitter's hand-rolled rejection sampling must reproduce
+        # ``randrange(magnitude + 1)`` draw for draw: the schedules of
+        # every pinned fuzz case depend on the stream.
+        for magnitude in (0, 1, 2, 3, 7, 8, 9, 63, 64, 100):
+            jitter = ScheduleJitter(seed, magnitude)
+            reference = random.Random(seed)
+            drawn = [jitter(0, 5) - 5 for _ in range(10_000)]
+            expected = [reference.randrange(magnitude + 1)
+                        for _ in range(10_000)]
+            assert drawn == expected, f"magnitude {magnitude}"
 
 
 class TestOracleSensitivity:
@@ -381,6 +395,7 @@ class TestCli:
         case = generate_case(0)
         failure = Failure(index=0, seed=42, violations=["boom"], case=case)
         path = _write_failure(str(tmp_path), failure)
-        stored = json.loads(open(path).read())
+        with open(path) as handle:
+            stored = json.load(handle)
         assert stored["found_violations"] == ["boom"]
         validate_case(stored)
