@@ -1342,13 +1342,10 @@ class TxEngine(CpuPort):
         # Invalidate speculative data: tx-dirty L1 lines vanish, pending
         # transactional stores are dropped (NTSTG doublewords survive),
         # the read set is forgotten.
-        probe_invalidate = self.fabric.probe_invalidate
-        for entry in self.l1.abort_transaction():
-            # The line stays valid in the L2 (it is clean there: store-cache
-            # writeback to the L2 was blocked), so ownership is unchanged —
-            # but the line left this CPU's L1 directory, so any memoised
-            # probe result for it is stale.
-            probe_invalidate(entry.line)
+        # A tx-dirty line stays valid in the L2 (it is clean there:
+        # store-cache writeback to the L2 was blocked), so ownership is
+        # unchanged.
+        self.l1.abort_transaction()
         self.stq.invalidate_tx()
         self.store_cache.abort_transaction()
         self._apply_drained_runs()

@@ -52,13 +52,12 @@ class _Decoded:
     is resolved, and the fall-through successor address is pre-computed
     (``Program.next_address`` is two dict probes plus bounds checks).
 
-    ``spin_head`` and ``batch`` carry the spin-elision predecode results:
-    the spin candidate whose loop this address heads, and the fused
-    straight-line run starting here (both None almost everywhere, and
+    ``spin_head`` carries the spin-elision predecode result: the spin
+    candidate whose loop this address heads (None almost everywhere, and
     everywhere until elision first arms).
     """
 
-    __slots__ = ("insn", "handler", "pseudo", "next_ia", "spin_head", "batch")
+    __slots__ = ("insn", "handler", "pseudo", "next_ia", "spin_head")
 
     def __init__(self, insn: Instruction, handler: Callable,
                  pseudo: bool, next_ia: int) -> None:
@@ -67,7 +66,6 @@ class _Decoded:
         self.pseudo = pseudo
         self.next_ia = next_ia
         self.spin_head = None
-        self.batch = None
 
 
 class _SpinCandidate:
@@ -181,7 +179,7 @@ class _ParkedRetry:
     pending fetch against live fabric state (see
     :meth:`repro.sim.scheduler.Scheduler._retry_tick`) instead of
     re-executing the instruction. The chain's engine-visible effects
-    (fetch/reject/probe counters, XI deliveries with their reject
+    (fetch/reject counters, XI deliveries with their reject
     accounting on the owner, the ``_fetch_wait`` arm/clear alternation)
     are applied exactly as the real steps would, and the architected CPU
     state is never touched (a retry step completes no instruction), so
@@ -194,7 +192,7 @@ class _ParkedRetry:
 
     __slots__ = ("line", "block", "key", "exclusive", "xi_type", "engine",
                  "cpu", "l1_hit", "l2_hit", "ticks", "fabric", "l1_entries",
-                 "l2_entries", "lines", "probe_cache", "ports", "reject_lat")
+                 "l2_entries", "lines", "ports", "reject_lat")
 
     def __init__(self, engine: TxEngine, line: int, block: int,
                  exclusive: bool) -> None:
@@ -220,37 +218,8 @@ class _ParkedRetry:
         self.l1_entries = engine._l1_entries
         self.l2_entries = engine._l2_entries
         self.lines = fabric._lines
-        self.probe_cache = fabric._probe_cache
         self.ports = fabric._ports
         self.reject_lat = fabric._outcome_reject.latency
-
-
-class _Batch:
-    """A fused run of register-only straight-line instructions.
-
-    Executed as one ``step()``: all handlers run in order, the PSW jumps
-    to the instruction after the run, and the pre-summed latency (every
-    member has a constant latency by construction) is returned.
-
-    ``pre_latency`` is the summed latency of every member except the
-    last — the largest intermediate deadline a step-by-step execution
-    of the run would see. The scheduler's heap-eliding loop yields (or
-    charges the cycle budget) between individual instructions, so a
-    batch is only equivalent to its members when none of those
-    intermediate deadlines crosses the next queued event or the budget:
-    the interpreter fuses the batch only while
-    ``pre_latency <= step_bound`` (see :attr:`IsaCpu.step_bound`).
-    """
-
-    __slots__ = ("ops", "count", "latency", "pre_latency", "next_ia")
-
-    def __init__(self, ops: List[tuple], count: int, latency: int,
-                 pre_latency: int, next_ia: int) -> None:
-        self.ops = ops
-        self.count = count
-        self.latency = latency
-        self.pre_latency = pre_latency
-        self.next_ia = next_ia
 
 
 class IsaCpu:
@@ -290,7 +259,7 @@ class IsaCpu:
         #: directly instead of re-resolving the label per execution.
         self._branch_tuple: Dict[int, tuple] = {}
         #: Spin-wait elision master switch (``REPRO_SPIN_ELIDE=0``
-        #: disables detection, parking and batching; an explicit argument
+        #: disables detection and parking; an explicit argument
         #: overrides the environment — the REPRO_CHECK reference run
         #: uses that).
         self.spin_elide = (
@@ -300,8 +269,8 @@ class IsaCpu:
         #: Effective elision flag: armed by the scheduler (via
         #: :meth:`configure_spin_elide`) only when no per-step hooks
         #: (interrupt injection, schedule jitter) are installed. Off by
-        #: default so directly-stepped CPUs keep one-instruction-per-step
-        #: semantics.
+        #: default so directly-stepped CPUs never park: a parked CPU
+        #: needs the scheduler to advance it.
         self._elide_on = False
         #: Retry-storm elision flag, armed separately: retry ticks
         #: consume the schedule-jitter stream exactly as the re-executed
@@ -309,13 +278,6 @@ class IsaCpu:
         #: parking survives ``schedule_perturb`` — only per-step
         #: observation hooks (``pre_step``) disable it.
         self._retry_on = False
-        #: Largest ``pre_latency`` a fused batch may carry this step.
-        #: The scheduler rewrites this before every step with the
-        #: distance to the next queued event / remaining cycle budget,
-        #: so a batch never swallows a yield or budget boundary the
-        #: per-instruction loop would honor. Directly-stepped CPUs have
-        #: no such boundaries, hence the effectively-infinite default.
-        self.step_bound = 0x7FFFFFFFFFFFFFFF
         #: Active :class:`_SpinTracker` (certification in progress).
         self._spin: Optional[_SpinTracker] = None
         #: :class:`_ParkedSpin` record while parked.
@@ -397,7 +359,7 @@ class IsaCpu:
         self._decoded_get = self._decoded.get
 
     # ------------------------------------------------------------------
-    # spin-wait elision: static candidate analysis and batching
+    # spin-wait elision: static candidate analysis
     # ------------------------------------------------------------------
 
     #: Mnemonics allowed in a candidate spin body besides the single
@@ -416,14 +378,13 @@ class IsaCpu:
     _SPIN_MAX_BODY = 16
 
     def _predecode_elision(self) -> None:
-        """Run the spin-candidate and batch analysis over the decoded
-        program. Only an armed CPU reads the results, so this runs once,
+        """Run the spin-candidate analysis over the decoded program.
+        Only an armed CPU reads the results, so this runs once,
         when :meth:`configure_spin_elide` first arms elision — runs
         under per-step hooks (schedule jitter, interrupt injection)
         never pay for it."""
         self._elision_predecoded = True
         self._find_spin_candidates(self.program, self._decoded)
-        self._build_batches(self.program, self._decoded)
 
     def _find_spin_candidates(self, program: Program,
                               decoded: Dict[int, _Decoded]) -> None:
@@ -481,63 +442,6 @@ class IsaCpu:
                 mem.disp, mem.base, mem.index,
             )
 
-    #: Instructions fusable into straight-line batches: register-only,
-    #: constant latency, cannot branch, fault, touch memory or
-    #: transaction state. RANDOM is included — it is deterministic and
-    #: batches the workload generators' pick sequences.
-    _BATCHABLE = frozenset((
-        "LHI", "AHI", "LR", "LA", "AGR", "SGR", "SLL", "SRL", "CGR",
-        "NGR", "OGR", "XGR", "MSGR", "NOPR", "PAUSE", "LDR", "SAR",
-        "RANDOM",
-    ))
-
-    def _build_batches(self, program: Program,
-                       decoded: Dict[int, _Decoded]) -> None:
-        """Attach a :class:`_Batch` to every position of every maximal
-        straight-line run of fusable instructions (length >= 2).
-
-        Entering a run mid-way (a branch target inside it) finds the
-        suffix batch attached to that address. Spin-candidate members are
-        excluded so the certification tracker always observes candidate
-        loops one instruction at a time.
-        """
-        spin_members: set = set()
-        for dec in decoded.values():
-            if dec.spin_head is not None:
-                spin_members |= dec.spin_head.members
-        run: List[int] = []
-        for loc in program:
-            addr = loc.address
-            insn = loc.instruction
-            fits = (insn.mnemonic in self._BATCHABLE and not insn.pseudo
-                    and addr not in spin_members)
-            if run and (not fits or decoded[run[-1]].next_ia != addr):
-                self._attach_batches(run, decoded)
-                run = []
-            if fits:
-                run.append(addr)
-        self._attach_batches(run, decoded)
-
-    def _attach_batches(self, run: List[int],
-                        decoded: Dict[int, _Decoded]) -> None:
-        if len(run) < 2:
-            return
-        ops = [(decoded[a].handler, decoded[a].insn, a) for a in run]
-        consts = [
-            decoded[a].insn.operands[0]
-            if decoded[a].insn.mnemonic == "PAUSE" else 0
-            for a in run
-        ]
-        next_ia = decoded[run[-1]].next_ia
-        base = self._cost_base
-        total = sum(consts) + len(run) * base
-        last = consts[-1] + base
-        for i in range(len(run) - 1):
-            decoded[run[i]].batch = _Batch(
-                ops[i:], len(run) - i, total, total - last, next_ia
-            )
-            total -= consts[i] + base
-
     @property
     def cpu_id(self) -> int:
         return self.engine.cpu_id
@@ -580,27 +484,6 @@ class IsaCpu:
                 if self._retry_armed and self._retry_try_park(trk):
                     raise RetryPark(self._retry_rec)
                 self._retry_fetch0 = engine.fabric.stats_fetches
-        batch = dec.batch
-        if (
-            batch is not None
-            and self._elide_on
-            and batch.pre_latency <= self.step_bound
-            and not self._eng_tx.depth
-            and engine.pending_abort is None
-            and self._eng_per.ifetch_range is None
-        ):
-            # Straight-line block batching: no member can branch, fault,
-            # retry, or touch memory/tx state, so the whole run completes
-            # within this step with its pre-summed constant latency.
-            if sp is not None:
-                # Batches never overlap spin members — reaching one means
-                # execution left the candidate loop.
-                self._spin = None
-            for handler, op_insn, op_ia in batch.ops:
-                handler(op_ia, op_insn)
-            self.stats_instructions += batch.count
-            psw.instruction_address = batch.next_ia
-            return batch.latency
         try:
             per = self._eng_per
             if per.ifetch_range is not None:
@@ -678,11 +561,10 @@ class IsaCpu:
         perturb the elided steps).
 
         ``retry_ok`` arms retry-storm elision independently (defaults to
-        ``hooks_ok``): schedule jitter disables spin parking and batching
-        — their recorded/pre-summed latencies would skip the per-step
-        draws — but retry ticks re-draw the jitter per elided step in
-        exact pop order, so the scheduler passes ``retry_ok=True`` under
-        ``perturb`` alone.
+        ``hooks_ok``): schedule jitter disables spin parking — its
+        recorded latencies would skip the per-step draws — but retry
+        ticks re-draw the jitter per elided step in exact pop order, so
+        the scheduler passes ``retry_ok=True`` under ``perturb`` alone.
         """
         self._elide_on = bool(self.spin_elide and hooks_ok)
         if self._elide_on and not self._elision_predecoded:

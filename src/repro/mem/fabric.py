@@ -22,7 +22,6 @@ using :class:`repro.params.Latencies`.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Tuple
 
 from ..errors import ProtocolError
@@ -180,15 +179,6 @@ class CoherenceFabric:
         #: Per-registered-CPU L1/L2 eviction callbacks (filled in register).
         self._l1_evict_cbs: List = []
         self._l2_evict_cbs: List = []
-        #: Memoized probe results: line -> {(cpu, exclusive): latency}.
-        #: Every state transition that could change a probe result for a
-        #: line (ownership transfer, XI, private/shared-cache eviction or
-        #: install) calls :meth:`probe_invalidate` for that line; see the
-        #: call sites below and ``TxEngine._abort_now``. With
-        #: ``REPRO_PROBE_CHECK=1`` in the environment every cache hit is
-        #: re-verified against a fresh computation (used by the tests).
-        self._probe_cache: Dict[int, Dict[Tuple[int, bool], int]] = {}
-        self._probe_check = bool(os.environ.get("REPRO_PROBE_CHECK"))
         #: Spin-watch registry (see :class:`~repro.mem.xi.LineWatchTable`)
         #: and the scheduler's wake callback (wired by the machine). Both
         #: maps are empty unless spin elision has actually parked a CPU,
@@ -202,6 +192,8 @@ class CoherenceFabric:
         self.stats_fetches = 0
         self.stats_rejects = 0
         self.stats_xis = 0
+        #: Always 0: probes are computed on demand, nothing is memoized.
+        #: Kept because the perfbench readout still reads it.
         self.stats_probe_hits = 0
 
     # -- registration -------------------------------------------------------
@@ -213,14 +205,8 @@ class CoherenceFabric:
             raise ProtocolError("more CPUs than the topology supports")
         self._ports.append(port)
         # Pre-bound eviction callbacks, so the install fast path does not
-        # allocate a closure per miss. The L1 victim leaves the CPU's L1,
-        # so its memoized probe results are stale.
-        self._l1_evict_cbs.append(
-            lambda entry, _note=port.note_l1_eviction,
-            _pop=self._probe_cache.pop: (
-                _pop(entry.line, None), _note(entry)
-            )[1]
-        )
+        # allocate a closure per miss.
+        self._l1_evict_cbs.append(port.note_l1_eviction)
         self._l2_evict_cbs.append(
             lambda victim, _port=port: self._evict_from_private(
                 _port, victim.line
@@ -289,7 +275,6 @@ class CoherenceFabric:
             info.ro_owners.discard(cpu)
             info.ex_owner = cpu
             self._set_private_state(port, line, Ownership.EXCLUSIVE)
-            self._probe_cache.pop(line, None)
             if self.watches.by_block:
                 self._wake_line_watchers(line)
             return FetchOutcome(True, latency, "upgrade")
@@ -303,7 +288,6 @@ class CoherenceFabric:
             l2_dir._clock += 1
             l2_entry.lru = l2_dir._clock
             l1_dir.install(line, l2_entry.state, evict=self._l1_evict_cbs[cpu])
-            self._probe_cache.pop(line, None)
             return self._outcome_l2
 
         # Full miss: the line must come from another CPU, a shared cache,
@@ -358,12 +342,7 @@ class CoherenceFabric:
         self._l4_by_cpu[cpu].install(line, self._l4_install_cbs[cpu])
         l2_dir.install(line, want, evict=self._l2_evict_cbs[cpu])
         l1_dir.install(line, want, evict=self._l1_evict_cbs[cpu])
-        self._probe_cache.pop(line, None)
         return FetchOutcome(True, latency, source)
-
-    def probe_invalidate(self, line: int) -> None:
-        """Drop memoized probe results for ``line`` (state changed)."""
-        self._probe_cache.pop(line, None)
 
     # -- spin-watch registry ---------------------------------------------------
 
@@ -426,31 +405,7 @@ class CoherenceFabric:
         the data actually arrives, so a transaction is not exposed to
         conflicts on a line it is still waiting for. No XIs are sent and
         no state is modified.
-
-        Results are memoized per (line, cpu, exclusive) until the next
-        coherence event on the line (see :meth:`probe_invalidate`).
         """
-        memo = self._probe_cache.get(line)
-        if memo is None:
-            memo = self._probe_cache[line] = {}
-        else:
-            cached = memo.get((cpu, exclusive))
-            if cached is not None:
-                if self._probe_check:
-                    fresh = self._probe_latency_uncached(cpu, line, exclusive)
-                    if fresh != cached:
-                        raise ProtocolError(
-                            f"stale probe memo for line {line:#x} cpu {cpu} "
-                            f"exclusive={exclusive}: cached {cached}, "
-                            f"fresh {fresh}"
-                        )
-                self.stats_probe_hits += 1
-                return cached
-        latency = self._probe_latency_uncached(cpu, line, exclusive)
-        memo[(cpu, exclusive)] = latency
-        return latency
-
-    def _probe_latency_uncached(self, cpu: int, line: int, exclusive: bool) -> int:
         port = self._ports[cpu]
         lat = self.lat
         entry = port.l1.directory._entries.get(line)
@@ -513,9 +468,6 @@ class CoherenceFabric:
 
     def _send_xi(self, xi: Xi) -> Tuple[XiResponse, int]:
         self.stats_xis += 1
-        # The target mutates its own directories (or aborts) while
-        # answering, so every memoized probe of the line is suspect.
-        self._probe_cache.pop(xi.line, None)
         # A parked spinner's copy of its watched line (and hence the value
         # its elided loads observe) can only be affected by an XI
         # delivered *to it* for that line — wake it just before delivery,
@@ -551,7 +503,6 @@ class CoherenceFabric:
                 latency = self.lat.xi_round_trip  # overlapped, charge once
             # Rebuilt from the set as it stands after delivery.
             info.ro_owners = {o for o in info.ro_owners if o == except_cpu}
-        self._probe_cache.pop(line, None)
         return latency
 
     # -- private-cache installation with eviction cascades ------------------------
@@ -564,7 +515,6 @@ class CoherenceFabric:
 
     def _evict_from_private(self, port: CpuPort, line: int) -> None:
         """A line leaves a CPU's L2 (and, by inclusivity, its L1)."""
-        self._probe_cache.pop(line, None)
         # The line is leaving the hierarchy entirely; the engine's
         # note_l2_eviction below performs the footprint-overflow check.
         port.l1.directory.remove(line)
@@ -578,14 +528,12 @@ class CoherenceFabric:
 
     def _lru_cascade_l3(self, cpu: int, victim: int) -> None:
         """An L3 eviction sends LRU XIs to the cores under that chip."""
-        self._probe_cache.pop(victim, None)
         chip = self._chip_of_cpu[cpu]
         chip_of = self._chip_of_cpu
         self._lru_xi_below(victim, lambda c: chip_of[c] == chip)
 
     def _lru_cascade_l4(self, cpu: int, victim: int) -> None:
         """An L4 eviction empties the MCM: L3s below and their cores."""
-        self._probe_cache.pop(victim, None)
         mcm = self._mcm_of_cpu[cpu]
         mcm_of_chip = self._mcm_of_chip
         for l3 in self.l3s:
@@ -644,14 +592,8 @@ class CoherenceFabric:
 
     # -- ownership fix-ups used by the engines ------------------------------------
 
-    def drop_l1_copy(self, cpu: int, line: int) -> None:
-        """Abort path: a tx-dirty line leaves the L1 (it stays in the L2)."""
-        self._probe_cache.pop(line, None)
-        self._ports[cpu].l1.directory.remove(line)
-
     def release_line(self, cpu: int, line: int) -> None:
         """Remove ``line`` from a CPU's private caches and the ownership map."""
-        self._probe_cache.pop(line, None)
         port = self._ports[cpu]
         port.l1.directory.remove(line)
         port.l2.directory.remove(line)

@@ -161,7 +161,7 @@ class Scheduler:
         limit_t = 0x7FFFFFFFFFFFFFFF if limit is None else limit
         # Arm spin/retry elision on the drivers. Per-step hooks must
         # observe (pre_step) or perturb (jitter) every instruction
-        # individually, so either one disables parking and batching; the
+        # individually, so either one disables spin parking; the
         # drivers also honour REPRO_SPIN_ELIDE=0 themselves. The shared
         # fabric's wake sink is pointed at this scheduler for the run.
         hooks_ok = pre_step is None and perturb is None
@@ -241,38 +241,11 @@ class Scheduler:
                 # The queue cannot change while this driver steps (only
                 # the scheduler pushes), so its top is loop-invariant.
                 top_time = queue[0][0] if queue else None
-                # Whether any cross-CPU machinery is engaged right now.
-                # None of these can become true *between* the entry check
-                # and a step (only a step sets solo_requested, and the
-                # loop breaks immediately after), so it is loop-invariant
-                # too. While engaged, the loop yields after every single
-                # instruction — a fused batch would swallow that yield,
-                # so the batch window is forced to zero.
-                solo_engaged = (
-                    engine.solo_requested or solo_waiters or deferred
-                    or self._stop_applied_for != "idle"
-                )
                 while True:
                     if time > self.now:
                         self.now = time
                     if pre_step is not None:
                         pre_step(index, self.now)
-                    # Batch window: a fused batch steps through its
-                    # members without returning here, so none of its
-                    # intermediate deadlines may reach the next queued
-                    # event (strict: equal-time queued events run first)
-                    # or exceed the cycle budget. The driver compares
-                    # its batches' pre_latency against this bound.
-                    if solo_engaged:
-                        driver.step_bound = 0
-                    else:
-                        bound = (
-                            top_time - time - 1 if top_time is not None
-                            else 0x7FFFFFFFFFFFFFFF
-                        )
-                        if limit is not None and limit - time < bound:
-                            bound = limit - time
-                        driver.step_bound = bound
                     try:
                         latency = driver.step()
                     except FetchRetry as retry:
@@ -466,16 +439,14 @@ class Scheduler:
         applies exactly its engine-visible effects:
 
         * **probe step due** (``_fetch_wait`` clear): run the real probe
-          (memo bookkeeping and counters included), arm ``_fetch_wait``
-          and schedule the try step — the FetchRetry the real step would
-          have raised;
+          (it has no side effects), arm ``_fetch_wait`` and schedule the
+          try step — the FetchRetry the real step would have raised;
         * **try step due** (``_fetch_wait`` armed): count the fetch
           attempt and either back off the in-flight transfer window
           (busy) or deliver the real XI to the exclusive owner when — and
           only when — the shared stiff-arm predicate says it will be
-          rejected (the owner's reject counters, metrics hooks, probe
-          memo invalidation and spin-watch wakes all happen through the
-          ordinary fabric path).
+          rejected (the owner's reject counters, metrics hooks and
+          spin-watch wakes all happen through the ordinary fabric path).
 
         Returns the next event's time, or -1 when the pending step would
         do anything *other* than raise another FetchRetry (fetch success,
@@ -553,28 +524,11 @@ class Scheduler:
             not exclusive or l2_entry.state is Ownership.EXCLUSIVE
         ):
             return -1  # own-L2 sufficient: no probe, the step succeeds
-        cache = rec.probe_cache
-        memo = cache.get(line)
-        probe = memo.get((rec.cpu, exclusive)) if memo is not None else None
-        if probe is None:
-            # Effect-free peek first: a cheap probe means the step runs
-            # straight into try_fetch and must execute for real (its own
-            # probe_latency call memoizes then). An expensive one
-            # memoizes here, exactly as probe_latency's miss path would.
-            probe = rec.fabric._probe_latency_uncached(
-                rec.cpu, line, exclusive
-            )
-            if probe <= rec.l2_hit:
-                return -1
-            if memo is None:
-                memo = cache[line] = {}
-            memo[(rec.cpu, exclusive)] = probe
-        else:
-            if probe <= rec.l2_hit:
-                return -1
-            # Memo hit: take the real hit path for its counter and the
-            # REPRO_PROBE_CHECK self-check.
-            rec.fabric.probe_latency(rec.cpu, line, exclusive)
+        probe = rec.fabric.probe_latency(rec.cpu, line, exclusive)
+        if probe <= rec.l2_hit:
+            # A cheap probe means the step runs straight into try_fetch
+            # and must execute for real.
+            return -1
         engine._fetch_wait = rec.key
         rec.ticks += 1
         if perturb is None:

@@ -1,17 +1,16 @@
 """Data-plane regression tests for the optimized simulator internals.
 
 The PR-3 data-plane overhaul (paged bytearray memory, line-indexed store
-forwarding, probe-latency memoization, heap-eliding scheduler loop) must
-be *invisible* to the architecture: every simulation stays bit-identical
-to the dict-backed implementation. These tests pin the behaviours most
-at risk:
+forwarding, heap-eliding scheduler loop) must be *invisible* to the
+architecture: every simulation stays bit-identical to the dict-backed
+implementation. These tests pin the behaviours most at risk:
 
 * loads that straddle cache lines, store-cache blocks and memory pages;
 * partial overlaps between store-queue / store-cache entries and a load;
 * the paged :class:`~repro.mem.memory.MainMemory` against a brute-force
   per-byte reference model under randomized mixed-size traffic;
-* the probe memo's self-check mode (``REPRO_PROBE_CHECK=1``) over a
-  contended simulation;
+* on-demand fetch-latency probes: the retired ``REPRO_PROBE_CHECK``
+  variable is inert, and each probe matches the line's current owner;
 * exact (cycles, instructions, aborts, xi_rejects) on three sweep
   points, serial and through the parallel runner.
 """
@@ -152,32 +151,48 @@ class TestPagedMemoryDifferential:
 
 
 # ----------------------------------------------------------------------
-# probe memoization self-check
+# on-demand probes
 # ----------------------------------------------------------------------
 
 
 class TestProbeMemoization:
     def test_contended_sim_under_self_check(self, monkeypatch):
-        """With REPRO_PROBE_CHECK=1 every memo hit is re-verified against
-        a fresh computation; a stale entry raises ProtocolError."""
+        """The retired probe-memo self-check variable is no longer read:
+        setting it changes nothing and raises nothing."""
         monkeypatch.setenv("REPRO_PROBE_CHECK", "1")
         experiment = UpdateExperiment("tbegin", 8, 4, 4, iterations=5)
         checked = run_update_experiment(experiment)
         monkeypatch.delenv("REPRO_PROBE_CHECK")
         plain = run_update_experiment(experiment)
-        assert checked.cycles == plain.cycles
-        assert ([c.instructions for c in checked.cpus]
-                == [c.instructions for c in plain.cpus])
+        assert checked == plain
 
-    def test_memo_serves_hits_and_passes_check(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROBE_CHECK", "1")
+    def test_memo_serves_hits_and_passes_check(self):
+        """Every probe is computed from live state: after each step of a
+        ping-pong, both CPUs' probes equal the latency the line's current
+        owner implies, and nothing is ever served from a memo."""
         duo = EngineHarness(n_cpus=2)
+        fabric = duo.fabric
+        lat = duo.params.latencies
         line = 0x90000
-        # Ping-pong the line so probes repeat between coherence events.
+        dist = fabric._dist_lat_rows
+
+        def probes(cpu):
+            return (fabric.probe_latency(cpu, line, False),
+                    fabric.probe_latency(cpu, line, True))
+
         for i in range(6):
-            duo.store(i % 2, line, i)
-            duo.load(1 - i % 2, line)
-        assert duo.fabric.stats_probe_hits > 0
+            writer, reader = i % 2, 1 - i % 2
+            duo.store(writer, line, i)
+            assert fabric.line_info(line).ex_owner == writer
+            assert probes(writer) == (lat.l1_hit, lat.l1_hit)
+            remote = lat.xi_round_trip + dist[reader][writer]
+            assert probes(reader) == (remote, remote)
+            duo.load(reader, line)
+            assert fabric.line_info(line).ro_owners == {writer, reader}
+            for cpu in (writer, reader):
+                assert probes(cpu) == (lat.l1_hit,
+                                       lat.l1_hit + lat.xi_round_trip)
+        assert fabric.stats_probe_hits == 0
 
 
 # ----------------------------------------------------------------------

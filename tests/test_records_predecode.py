@@ -5,11 +5,12 @@ records: they must keep value equality, hashing and their dataclass
 repr, and must never become tuples — ``assemble()`` reads every tuple
 item as a ``(label, instruction)`` pair.
 
-The spin-candidate and batch analysis runs once, when elision first
-arms. Runs under schedule jitter never arm it, so they must build
-nothing; armed runs must build exactly the layout pinned below for the
-``repro.sync`` harnesses (the layout the construction-time analysis
-produced before it was gated).
+The spin-candidate analysis runs once, when elision first arms. Runs
+under schedule jitter never arm it, so they must build nothing; armed
+runs must build exactly the layout pinned below for the ``repro.sync``
+harnesses (the layout the construction-time analysis produced before it
+was gated). There is no straight-line batching: an armed CPU still
+retires one instruction per step.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cpu.assembler import Located, assemble
+from repro.cpu.interpreter import _Decoded
 from repro.cpu.isa import (
     AGR, AHI, HALT, Instruction, J, LG, LHI, Mem, STG, TBEGIN,
 )
@@ -32,7 +34,7 @@ from repro.verify import ScheduleJitter
 
 LOCK = Mem(disp=0x8000)
 DATA = Mem(disp=0x9000)
-#: A body with a fusable three-instruction run at its head.
+#: A body with a three-instruction register-only run at its head.
 BODY = [LHI(4, 1), LHI(5, 2), AGR(4, 5), LG(2, DATA), AHI(2, 1), STG(2, DATA)]
 
 PROGRAMS = {
@@ -65,31 +67,6 @@ PINNED_HEADS = {
     },
 }
 
-#: start -> (count, next_ia, latency, pre_latency) of every batch.
-PINNED_BATCHES = {
-    "sync/spinlock": {
-        0x1012: (2, 0x101A, 2, 1),
-        0x1024: (3, 0x1030, 3, 2),
-        0x1028: (2, 0x1030, 2, 1),
-    },
-    "sync/rwlock": {
-        0x100A: (3, 0x1016, 3, 2),
-        0x100E: (2, 0x1016, 2, 1),
-        0x1020: (3, 0x102C, 3, 2),
-        0x1024: (2, 0x102C, 2, 1),
-        0x1052: (2, 0x1058, 2, 1),
-        0x106E: (2, 0x1074, 2, 1),
-    },
-    "sync/retry": {
-        0x1018: (3, 0x1024, 3, 2),
-        0x101C: (2, 0x1024, 2, 1),
-        0x1078: (2, 0x1080, 2, 1),
-        0x108A: (3, 0x1096, 3, 2),
-        0x108E: (2, 0x1096, 2, 1),
-    },
-}
-
-
 def _cpu(name):
     # spin_elide=True (not the env default) so a REPRO_SPIN_ELIDE=0 run
     # of the suite checks the same layout.
@@ -98,16 +75,10 @@ def _cpu(name):
 
 
 def _layout(cpu):
-    heads = {
+    return {
         addr: (sorted(dec.spin_head.members), dec.spin_head.load_ia)
         for addr, dec in cpu._decoded.items() if dec.spin_head is not None
     }
-    batches = {
-        addr: (dec.batch.count, dec.batch.next_ia, dec.batch.latency,
-               dec.batch.pre_latency)
-        for addr, dec in cpu._decoded.items() if dec.batch is not None
-    }
-    return heads, batches
 
 
 class TestInstructionRecords:
@@ -168,9 +139,9 @@ class TestElisionGatedPredecode:
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_nothing_built_before_elision_arms(self, name):
         _machine, cpu = _cpu(name)
-        assert _layout(cpu) == ({}, {})
+        assert _layout(cpu) == {}
         cpu.configure_spin_elide(False)
-        assert _layout(cpu) == ({}, {})
+        assert _layout(cpu) == {}
 
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_nothing_built_under_jitter(self, name):
@@ -178,35 +149,50 @@ class TestElisionGatedPredecode:
         machine.schedule_perturb = ScheduleJitter(7, 3)
         result = machine.run(max_cycles=200_000)
         assert not result.aborted_early
-        assert _layout(cpu) == ({}, {})
+        assert _layout(cpu) == {}
 
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_armed_layout_is_pinned(self, name):
         _machine, cpu = _cpu(name)
         cpu.configure_spin_elide(True)
-        assert _layout(cpu) == (PINNED_HEADS[name], PINNED_BATCHES[name])
+        assert _layout(cpu) == PINNED_HEADS[name]
+        assert "batch" not in _Decoded.__slots__
 
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_unjittered_run_arms_and_builds_the_layout(self, name):
         machine, cpu = _cpu(name)
         machine.run(max_cycles=200_000)
-        assert _layout(cpu) == (PINNED_HEADS[name], PINNED_BATCHES[name])
+        assert _layout(cpu) == PINNED_HEADS[name]
+        assert "batch" not in _Decoded.__slots__
 
     def test_analysis_runs_once(self):
         _machine, cpu = _cpu("sync/spinlock")
         cpu.configure_spin_elide(True)
         cand = cpu._decoded[0x1000].spin_head
-        batch = cpu._decoded[0x1024].batch
         cpu.configure_spin_elide(False)
         cpu.configure_spin_elide(True)
         assert cpu._decoded[0x1000].spin_head is cand
-        assert cpu._decoded[0x1024].batch is batch
+
+    def test_armed_cpu_retires_one_instruction_per_step(self):
+        machine = Machine(ZEC12.with_cpus(1), spin_elide=True)
+        program = assemble(BODY + [HALT()])
+        cpu = machine.add_program(program)
+        cpu.configure_spin_elide(True)
+        # LHI, LHI, AGR: the register-only run at the head of BODY.
+        run = list(program)[:3]
+        for count, loc in enumerate(run, 1):
+            assert cpu._psw.instruction_address == loc.address
+            cpu.step()
+            assert cpu.stats_instructions == count
+        assert cpu._psw.instruction_address == program.next_address(
+            run[-1].address
+        )
 
     def test_master_switch_off_never_builds(self):
         machine = Machine(ZEC12.with_cpus(2), spin_elide=False)
         cpu = machine.add_program(assemble(PROGRAMS["sync/spinlock"]))
         cpu.configure_spin_elide(True)
-        assert _layout(cpu) == ({}, {})
+        assert _layout(cpu) == {}
 
     def test_next_ia_matches_program_successors(self):
         for items in PROGRAMS.values():

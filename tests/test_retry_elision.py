@@ -74,13 +74,13 @@ RETIRED_QUEUE_COUNTERS = ("calendar_resizes", "bucket_max_occupancy",
 PINNED_SCHED_48CPU = [
     {"events": 236422, "parks": 1537, "wakes": 1537, "retry_parks": 1452,
      "retry_wakes": 1452, "retry_ticks": 45269, "spin_steps": 178962,
-     "heap_elides": 898, "heap_elided_steps": 1558, "broadcast_stops": 0},
+     "heap_elides": 923, "heap_elided_steps": 1856, "broadcast_stops": 0},
     {"events": 2632, "parks": 0, "wakes": 0, "retry_parks": 7,
      "retry_wakes": 7, "retry_ticks": 6, "spin_steps": 0,
-     "heap_elides": 15, "heap_elided_steps": 64, "broadcast_stops": 0},
+     "heap_elides": 15, "heap_elided_steps": 72, "broadcast_stops": 0},
     {"events": 8842, "parks": 0, "wakes": 0, "retry_parks": 41,
      "retry_wakes": 41, "retry_ticks": 141, "spin_steps": 0,
-     "heap_elides": 852, "heap_elided_steps": 2121, "broadcast_stops": 0},
+     "heap_elides": 856, "heap_elided_steps": 3039, "broadcast_stops": 0},
 ]
 
 

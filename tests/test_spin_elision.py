@@ -45,8 +45,8 @@ PINNED_POINTS = [
     (UpdateExperiment("coarse", 4, 100, 4, iterations=5),
      (26679, 5084, 0, 0)),
     # High-contention constrained-TX point whose retry storms exercise
-    # the batch-window bound: a fused batch must never swallow a yield
-    # to an equal-time event of another CPU.
+    # the heap-eliding loop's strict yield: an inline step must never
+    # run past an equal-time event of another CPU.
     (UpdateExperiment("tbeginc", 24, 10, 4, iterations=15),
      (232667, 8164, 687, 2405)),
 ]
