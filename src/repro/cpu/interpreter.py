@@ -311,7 +311,6 @@ class IsaCpu:
     def _predecode(self, program: Program) -> Dict[int, _Decoded]:
         decoded: Dict[int, _Decoded] = {}
         dispatch = self._DISPATCH
-        specialize = self._SPECIALIZE
         labels = program.labels
         branch_tuple = self._branch_tuple
         #: Mnemonic -> dispatch handler bound to this CPU (one bound
@@ -330,29 +329,22 @@ class IsaCpu:
             target = insn.target
             if target is not None and target in labels:
                 branch_tuple[address] = (0, labels[target])
-            handler = None
-            factory = specialize.get(mnemonic)
-            if factory is not None:
-                # A per-instruction closure with operands (and branch
-                # targets) resolved once, at load time.
-                handler = factory(self, insn, address)
+            handler = bound.get(mnemonic)
             if handler is None:
-                handler = bound.get(mnemonic)
+                handler = dispatch.get(mnemonic)
                 if handler is None:
-                    handler = dispatch.get(mnemonic)
-                    if handler is None:
-                        # Defer the failure to execution time (matching
-                        # the historical per-step dispatch behaviour).
-                        def handler(ia, insn, _m=mnemonic):
-                            raise MachineStateError(f"no handler for {_m}")
-                    else:
-                        handler = handler.__get__(self, IsaCpu)
-                    bound[mnemonic] = handler
+                    # Defer the failure to execution time (matching
+                    # the historical per-step dispatch behaviour).
+                    def handler(ia, insn, _m=mnemonic):
+                        raise MachineStateError(f"no handler for {_m}")
+                else:
+                    handler = handler.__get__(self, IsaCpu)
+                bound[mnemonic] = handler
             decoded[address] = _Decoded(insn, handler, insn.pseudo, next_ia)
         return decoded
 
     def close(self) -> None:
-        """Drop the decode table, whose per-instruction handlers capture
+        """Drop the decode table, whose handlers are methods bound to
         this CPU (see :meth:`repro.sim.machine.Machine.close`). The CPU
         cannot step afterwards; its statistics stay readable."""
         self._decoded = {}
@@ -445,11 +437,6 @@ class IsaCpu:
     @property
     def cpu_id(self) -> int:
         return self.engine.cpu_id
-
-    @property
-    def halted(self) -> bool:
-        """Historical alias for :attr:`done`."""
-        return self.done
 
     # ------------------------------------------------------------------
 
@@ -1200,7 +1187,10 @@ class IsaCpu:
         else:
             cc = 2
         if mask & (8 >> cc):
-            return (0, self.program.target_address(insn))
+            tup = self._branch_tuple.get(ia)
+            return tup if tup is not None else (
+                0, self.program.target_address(insn)
+            )
         return 0
 
     def _op_tbegin(self, ia, insn):
@@ -1335,206 +1325,6 @@ class IsaCpu:
     def _op_halt(self, ia, insn):
         self.done = True
         return 0
-
-    # ------------------------------------------------------------------
-    # predecode specialisation
-    # ------------------------------------------------------------------
-    # Factories building per-instruction closures for the sweep-dominating
-    # mnemonics: operand tuples are unpacked, effective-address terms and
-    # branch targets resolved, and the register file / engine entry points
-    # captured once at program-load time. Each closure is semantically
-    # identical to the generic handler of the same mnemonic. A factory may
-    # return None to fall back to the generic handler.
-
-    def _capture_ea(self, mem):
-        """(gr, disp, base, index) for closure-side address arithmetic."""
-        return self.regs.gr, mem.disp, mem.base, mem.index
-
-    def _spec_lg(self, insn, address):
-        r, mem = insn.operands
-        gr, disp, base, index = self._capture_ea(mem)
-        load = self.engine.load
-
-        def run(ia, _insn):
-            addr = disp
-            if base is not None:
-                addr += gr[base]
-            if index is not None:
-                addr += gr[index]
-            value, latency = load(addr, 8)
-            gr[r] = value
-            return latency
-
-        return run
-
-    def _spec_ltg(self, insn, address):
-        r, mem = insn.operands
-        gr, disp, base, index = self._capture_ea(mem)
-        load = self.engine.load
-        psw = self.regs.psw
-
-        def run(ia, _insn):
-            addr = disp
-            if base is not None:
-                addr += gr[base]
-            if index is not None:
-                addr += gr[index]
-            value, latency = load(addr, 8)
-            gr[r] = value
-            if value == 0:
-                psw.condition_code = 0
-            elif value >> 63:
-                psw.condition_code = 1
-            else:
-                psw.condition_code = 2
-            return latency
-
-        return run
-
-    def _spec_stg(self, insn, address):
-        r, mem = insn.operands
-        gr, disp, base, index = self._capture_ea(mem)
-        store = self.engine.store
-
-        def run(ia, _insn):
-            addr = disp
-            if base is not None:
-                addr += gr[base]
-            if index is not None:
-                addr += gr[index]
-            return store(addr, gr[r], 8)
-
-        return run
-
-    def _spec_agsi(self, insn, address):
-        mem, imm = insn.operands
-        gr, disp, base, index = self._capture_ea(mem)
-        add_to_storage = self.engine.add_to_storage
-        psw = self.regs.psw
-
-        def run(ia, _insn):
-            addr = disp
-            if base is not None:
-                addr += gr[base]
-            if index is not None:
-                addr += gr[index]
-            new_value, latency = add_to_storage(addr, imm, 8)
-            if new_value == 0:
-                psw.condition_code = 0
-            elif new_value >> 63:
-                psw.condition_code = 1
-            else:
-                psw.condition_code = 2
-            return latency
-
-        return run
-
-    def _spec_csg(self, insn, address):
-        r1, r3, mem = insn.operands
-        gr, disp, base, index = self._capture_ea(mem)
-        compare_and_swap = self.engine.compare_and_swap
-        psw = self.regs.psw
-
-        def run(ia, _insn):
-            addr = disp
-            if base is not None:
-                addr += gr[base]
-            if index is not None:
-                addr += gr[index]
-            swapped, observed, latency = compare_and_swap(
-                addr, gr[r1], gr[r3], 8
-            )
-            if swapped:
-                psw.condition_code = 0
-            else:
-                gr[r1] = observed
-                psw.condition_code = 1
-            return latency
-
-        return run
-
-    def _spec_lhi(self, insn, address):
-        r, imm = insn.operands
-        gr = self.regs.gr
-        masked = imm & MASK64
-
-        def run(ia, _insn):
-            gr[r] = masked
-            return 0
-
-        return run
-
-    def _spec_ahi(self, insn, address):
-        r, imm = insn.operands
-        gr = self.regs.gr
-        psw = self.regs.psw
-
-        def run(ia, _insn):
-            value = gr[r]
-            result = (value - (1 << 64) if value >> 63 else value) + imm
-            gr[r] = result & MASK64
-            if result == 0:
-                psw.condition_code = 0
-            elif result < 0:
-                psw.condition_code = 1
-            else:
-                psw.condition_code = 2
-            return 0
-
-        return run
-
-    def _spec_brct(self, insn, address):
-        tup = self._branch_tuple.get(address)
-        if tup is None:
-            return None
-        (r,) = insn.operands
-        gr = self.regs.gr
-
-        def run(ia, _insn):
-            value = (gr[r] - 1) & MASK64
-            gr[r] = value
-            if value != 0:
-                return tup
-            return 0
-
-        return run
-
-    def _spec_brc(self, insn, address):
-        tup = self._branch_tuple.get(address)
-        if tup is None:
-            return None
-        (mask,) = insn.operands
-        psw = self.regs.psw
-
-        def run(ia, _insn):
-            if mask & (8 >> psw.condition_code):
-                return tup
-            return 0
-
-        return run
-
-    def _spec_j(self, insn, address):
-        tup = self._branch_tuple.get(address)
-        if tup is None:
-            return None
-
-        def run(ia, _insn):
-            return tup
-
-        return run
-
-    _SPECIALIZE: Dict[str, Callable] = {
-        "LG": _spec_lg,
-        "LTG": _spec_ltg,
-        "STG": _spec_stg,
-        "AGSI": _spec_agsi,
-        "CSG": _spec_csg,
-        "LHI": _spec_lhi,
-        "AHI": _spec_ahi,
-        "BRCT": _spec_brct,
-        "BRC": _spec_brc,
-        "J": _spec_j,
-    }
 
     _DISPATCH: Dict[str, Callable] = {
         "LHI": _op_lhi,

@@ -277,7 +277,7 @@ class Machine:
         """Break the reference cycles of a finished machine.
 
         A machine that has run is one strongly connected object graph:
-        each CPU's pre-decoded handlers capture the CPU, each engine
+        each CPU's decode table holds methods bound to the CPU, each engine
         aliases its own bound methods and is listed by the fabric, the
         fabric holds the scheduler's wake callback, and the fabric clock
         and the mark recorders call back into the machine. Only the

@@ -75,6 +75,16 @@ class TestBasicInstructions:
         assert cpu.regs.get_gr(1) == (1 << 64) - 1
         assert cpu.regs.get_gr_signed(1) == -1
 
+    @pytest.mark.parametrize("start,imm,result,cc", [
+        (-5, 2, -3, 1),
+        (-1, 1, 0, 0),
+        (-2, 7, 5, 2),
+    ])
+    def test_ahi_reads_the_register_as_signed(self, start, imm, result, cc):
+        _, cpu, _ = run([LHI(1, start), AHI(1, imm)])
+        assert cpu.regs.get_gr_signed(1) == result
+        assert cpu.regs.psw.condition_code == cc
+
     def test_load_address_with_base_and_index(self):
         _, cpu, _ = run([
             LHI(2, 0x100),
@@ -82,6 +92,27 @@ class TestBasicInstructions:
             LA(1, Mem(base=2, index=3, disp=4)),
         ])
         assert cpu.regs.get_gr(1) == 0x124
+
+    def test_storage_operands_add_base_and_index(self):
+        ea = Mem(base=2, index=3, disp=DATA)
+        machine, cpu, _ = run([
+            LHI(2, 0x100),
+            LHI(3, 0x20),
+            LHI(1, -7),
+            STG(1, ea),
+            LG(4, ea),
+            LTG(5, ea),
+            AGSI(ea, 10),        # -7 + 10 = 3
+            LHI(7, 3),
+            LHI(8, 42),
+            CSG(7, 8, ea),       # 3 -> 42, CC0
+        ])
+        assert cpu.regs.get_gr_signed(4) == -7
+        assert cpu.regs.get_gr_signed(5) == -7
+        assert cpu.regs.psw.condition_code == 0
+        assert machine.memory.read_int(DATA + 0x120, 8) == 42
+        assert machine.memory.read_int(DATA + 0x100, 8) == 0
+        assert machine.memory.read_int(DATA + 0x20, 8) == 0
 
     def test_store_load_roundtrip(self):
         _, cpu, _ = run([

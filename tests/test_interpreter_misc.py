@@ -102,7 +102,7 @@ def test_program_falls_off_end_halts():
     program = assemble([LHI(1, 1)])  # no HALT
     cpu = machine.add_program(program)
     machine.run()
-    assert cpu.halted
+    assert cpu.done
 
 
 def test_tbeginc_inside_constrained_takes_constraint_interruption():

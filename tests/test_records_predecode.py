@@ -10,7 +10,8 @@ under schedule jitter never arm it, so they must build nothing; armed
 runs must build exactly the layout pinned below for the ``repro.sync``
 harnesses (the layout the construction-time analysis produced before it
 was gated). There is no straight-line batching: an armed CPU still
-retires one instruction per step.
+retires one instruction per step, and every decoded instruction runs
+its mnemonic's ``_DISPATCH`` method, bound once per CPU.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cpu.assembler import Located, assemble
-from repro.cpu.interpreter import _Decoded
+from repro.cpu.interpreter import IsaCpu, _Decoded
 from repro.cpu.isa import (
     AGR, AHI, HALT, Instruction, J, LG, LHI, Mem, STG, TBEGIN,
 )
@@ -203,3 +204,15 @@ class TestElisionGatedPredecode:
                 assert cpu._decoded[loc.address].next_ia == (
                     program.next_address(loc.address)
                 )
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_decode_table_shares_one_bound_handler_per_mnemonic(self, name):
+        _machine, cpu = _cpu(name)
+        by_mnemonic = {}
+        for dec in cpu._decoded.values():
+            mnemonic = dec.insn.mnemonic
+            handler = by_mnemonic.setdefault(mnemonic, dec.handler)
+            assert dec.handler is handler, mnemonic
+            assert handler.__self__ is cpu
+            assert handler.__func__ is IsaCpu._DISPATCH[mnemonic]
+        assert {"LG", "STG", "BRC"} <= set(by_mnemonic)

@@ -147,7 +147,7 @@ class TestPpaBackoffIdentity:
 class TestRetryCertification:
     def _cpu_with_owned_line(self, owner):
         # spin_elide=True (not the env default) so the white-box checks
-        # below behave the same under a REPRO_SPIN_ELIDE=0 CI leg.
+        # below behave the same in a REPRO_SPIN_ELIDE=0 run of the suite.
         machine = Machine(ZEC12.with_cpus(4), spin_elide=True)
         cpu = machine.add_program(assemble([HALT()]))
         cpu.configure_spin_elide(True)

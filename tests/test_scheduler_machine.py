@@ -156,6 +156,29 @@ class TestScheduler:
         assert not scheduler._deferred
         assert not b.engine.stopped_by_broadcast
 
+    def test_solo_request_inside_heap_elided_run_stops_others(self):
+        # b's next event is far ahead, so a steps inline without touching
+        # the queue. A solo request raised by a's second step must still
+        # leave that loop, so the stop applies before a's third step.
+        a = FakeDriver([1, 1, 1, 1, 1])
+        b = FakeDriver([100, 1])
+        seen_stopped = []
+        orig = a.step
+
+        def solo_stepper():
+            seen_stopped.append(b.engine.stopped_by_broadcast)
+            if len(seen_stopped) == 2:
+                a.engine.solo_requested = True
+            elif len(seen_stopped) == 4:
+                a.engine.solo_requested = False
+            return orig()
+
+        a.step = solo_stepper
+        scheduler = Scheduler([a, b])
+        scheduler.run()
+        assert seen_stopped == [False, False, True, True, False]
+        assert scheduler.stats_broadcast_stops == 1
+
     def test_deferred_queue_flushed_when_solo_driver_finishes(self):
         # The solo CPU runs to completion without ever releasing the
         # token; the deferred CPUs must still be flushed (the post-step

@@ -67,8 +67,8 @@ def _summary(result):
 
 
 class TestPinnedBitIdentity:
-    # The elided variants pin the env to "1" so they stay meaningful on
-    # the CI matrix leg that exports REPRO_SPIN_ELIDE=0 globally.
+    # The elided variants pin the env to "1" so they stay meaningful in
+    # a run of the suite that exports REPRO_SPIN_ELIDE=0 globally.
 
     @pytest.fixture(autouse=True)
     def _lock_fallback(self, monkeypatch):
