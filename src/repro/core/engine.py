@@ -34,19 +34,13 @@ from ..errors import (
     ProgramInterruptionSignal,
     TransactionAbortSignal,
 )
-from ..mem.address import OCTOWORD, lines_touched, line_address, octowords_touched
+from ..mem.address import lines_touched, line_address, octowords_touched
 from ..mem.fabric import CoherenceFabric, CpuPort
 from ..mem.l1 import L1Cache
 from ..mem.l2 import L2Cache
-from ..mem.line import Ownership
-from ..mem.memory import PAGE_BYTES, PAGE_MASK, PAGE_SHIFT, MainMemory
+from ..mem.memory import MainMemory
 from ..mem.paging import PageTable
-from ..mem.storecache import (
-    BLOCK_SIZE,
-    _BLOCK_MASK,
-    GatheringStoreCache,
-    StoreCacheOverflow,
-)
+from ..mem.storecache import GatheringStoreCache, StoreCacheOverflow
 from ..mem.storequeue import StoreQueue
 from ..mem.xi import Xi, XiResponse, XiType
 from ..params import MachineParams
@@ -65,10 +59,6 @@ from .per import PerControl, PerEvent
 from .ppa import PpaAssist
 from .tdb import prefix_tdb_address, store_tdb
 from .txstate import CONSTRAINED_CONTROLS, TbeginControls, TransactionState
-
-
-#: Alignment mask for the constrained-transaction octoword footprint.
-_OCTO_MASK = ~(OCTOWORD - 1)
 
 
 class FetchRetry(Exception):
@@ -132,9 +122,9 @@ class MetricsSink:
     ``stats_xi_rejected`` increments.
 
     When no sink is attached ``engine.metrics`` is None and every hook
-    site is a single attribute load plus a None check; nothing is
-    wrapped, so PR 1's inlined fast paths stay observable (the inline
-    L1-hit fetch calls ``note_fetch`` itself).
+    site is a single attribute load plus a None check. Nothing is
+    wrapped: every fetch, L1 hits included, goes through
+    :meth:`TxEngine._fetch`, which calls ``note_fetch`` once per fetch.
     """
 
     __slots__ = ()
@@ -269,10 +259,6 @@ class TxEngine(CpuPort):
         self._line_mask = ~(params.line_size - 1)
         self._lat = params.latencies
         self._page_missing = self.page_table._missing
-        #: Alias of the paged memory image (the page dict is mutated only
-        #: in place), so the no-forwarding load fast path is a dict probe
-        #: plus one C-level slice instead of a per-byte loop.
-        self._mem_pages = memory._pages
 
         #: The transactional-footprint capacity policy (resolved from
         #: ``params.footprint_policy`` / ``$REPRO_FOOTPRINT_POLICY``;
@@ -281,31 +267,13 @@ class TxEngine(CpuPort):
         self.footprint = make_policy(params)
         self.l1 = L1Cache(params.l1, footprint=self.footprint)
         self.l2 = L2Cache(params.l2)
-        #: Aliases into the L1 directory for the fetch fast path (the
-        #: directory and its entry index are never rebound).
-        self._l1_dir = self.l1.directory
-        self._l1_entries = self.l1.directory._entries
-        self._l2_entries = self.l2.directory._entries
         self.stq = StoreQueue()
         self.store_cache = GatheringStoreCache(
             entries=self.footprint.store_cache_entries(params.tx),
             line_size=params.line_size,
         )
-        # Both containers are mutated strictly in place, so the load fast
-        # path's pending-store checks can alias them.
-        self._stq_entries = self.stq._entries
-        self._sc_by_block = self.store_cache._by_block
         self.tx = TransactionState(max_nesting_depth=params.tx.max_nesting_depth)
         self.footprint.bind(self)
-        #: Hoisted policy hooks. ``_fp_read_check``/``_fp_write_check``
-        #: are None unless the policy bounds the footprint by
-        #: cardinality, so the default hot paths pay one None-check per
-        #: access; ``_fp_imprecise`` is the policy's imprecise XI-hit
-        #: check (the LRU-extension row probe under zEC12).
-        fp = self.footprint
-        self._fp_read_check = fp.check_read_capacity if fp.tracks_reads else None
-        self._fp_write_check = fp.note_write_lines if fp.tracks_writes else None
-        self._fp_imprecise = fp.imprecise_read_hit
         self.tdc = TransactionDiagnosticControl(self.rng)
         self.ppa = PpaAssist(params.latencies, self.rng)
         self.millicode = Millicode(self.ppa, self.rng)
@@ -643,18 +611,19 @@ class TxEngine(CpuPort):
     def spin_replay_loads(self, line: int, count: int) -> None:
         """Account ``count`` elided L1-hit loads of ``line`` at wake time.
 
-        Mirrors exactly what the inline L1-hit path of :meth:`load` does
-        per load — fabric fetch counter, L1 directory clock, the entry's
-        LRU stamp, and the metrics hook — so a fast-forwarded spin is
-        indistinguishable from an executed one. The entry may already be
-        gone when the wake was caused by an invalidating XI; the loads
+        Mirrors what one L1-hit load does per load — the fabric fetch
+        counter, L1 directory clock and the entry's LRU stamp of
+        :meth:`CoherenceFabric.try_fetch`'s L1-hit branch, plus the
+        ``note_fetch`` hook of :meth:`_fetch` — so a fast-forwarded spin
+        is indistinguishable from an executed one. The entry may already
+        be gone when the wake was caused by an invalidating XI; the loads
         being replayed all preceded that XI, and a removed entry's LRU
         stamp is irrelevant, so only the clock advances then.
         """
         self.fabric.stats_fetches += count
-        directory = self._l1_dir
+        directory = self.l1.directory
         directory._clock += count
-        entry = self._l1_entries.get(line)
+        entry = directory._entries.get(line)
         if entry is not None:
             entry.lru = directory._clock
         m = self.metrics
@@ -691,80 +660,11 @@ class TxEngine(CpuPort):
             self._translate(addr, length, store=False)
         first = addr & self._line_mask
         if (addr + length - 1) & self._line_mask == first:
-            # Single-line access — the overwhelmingly common case. The
-            # L1-hit fetch (mirroring ``_fetch``'s inline block; a
-            # pending abort cannot appear between the entry check above
-            # and here) and the no-pending-store page read are both
-            # inlined, making a hit load a few dict probes and a slice.
-            entry = self._l1_entries.get(first)
-            if entry is not None and (
-                not exclusive or entry.state is Ownership.EXCLUSIVE
-            ):
-                directory = self._l1_dir
-                self.fabric.stats_fetches += 1
-                directory._clock += 1
-                entry.lru = directory._clock
-                wait = self._fetch_wait
-                if wait is not None and wait[0] == first:
-                    self._fetch_wait = None
-                m = self.metrics
-                if m is not None:
-                    m.note_fetch(first, exclusive, "l1")
-                latency = self._lat.l1_hit
-                tx = self.tx
-                if tx.depth:
-                    # ``_note_read_lines`` unrolled against the entry we
-                    # already hold (mark_tx_read's lookup would re-find
-                    # it) and the common single-octoword access.
-                    if not entry.tx_read:
-                        entry.tx_read = True
-                        if not entry.tx_dirty:
-                            self.l1._tx_marked.append(entry)
-                    tx.read_set.add(first)
-                    octo = addr & _OCTO_MASK
-                    if (addr + length - 1) & _OCTO_MASK == octo:
-                        tx.octowords.add(octo)
-                    else:
-                        tx.octowords.update(octowords_touched(addr, length))
-                    if (
-                        tx.constrained
-                        and len(tx.octowords)
-                        > self.params.tx.constrained_max_octowords
-                    ):
-                        self.constraint_violation()
-                    fpc = self._fp_read_check
-                    if fpc is not None:
-                        code = fpc()
-                        if code is not None:
-                            self._abort_now(code, conflict_token=first)
-                            raise TransactionAbortSignal(self.pending_abort)
-            else:
-                latency, source = self._fetch(first, exclusive=exclusive)
-                if self.tx.depth:
-                    self._note_read_lines((first,), addr, length)
-                    if source != "l1":
-                        self._speculative_prefetch(first)
-            if not self._stq_entries:
-                # ``overlaps_range`` unrolled: a single-line access spans
-                # at most two store-cache blocks.
-                by_block = self._sc_by_block
-                block = addr & _BLOCK_MASK
-                if not by_block or (
-                    block not in by_block
-                    and ((addr + length - 1) & _BLOCK_MASK == block
-                         or block + BLOCK_SIZE not in by_block)
-                ):
-                    offset = addr & PAGE_MASK
-                    if offset + length <= PAGE_BYTES:
-                        page = self._mem_pages.get(addr >> PAGE_SHIFT)
-                        if page is None:
-                            return (0, latency)
-                        return (
-                            int.from_bytes(
-                                page[offset : offset + length], "big"
-                            ),
-                            latency,
-                        )
+            latency, source = self._fetch(first, exclusive=exclusive)
+            if self.tx.depth:
+                self._note_read_lines((first,), addr, length)
+                if source != "l1":
+                    self._speculative_prefetch(first)
             return (self._read_value(addr, length), latency)
         latency = 0
         missed = False
@@ -1033,47 +933,15 @@ class TxEngine(CpuPort):
         L1-install cost.
         """
         lat = self._lat
-        # L1 hit with sufficient ownership: the probe would return l1_hit
-        # (never a retry) and try_fetch would return an "l1" outcome after
-        # an LRU touch — done inline, skipping both fabric calls.
-        entry = self._l1_entries.get(line)
-        if entry is not None and (
-            not exclusive or entry.state is Ownership.EXCLUSIVE
-        ):
-            directory = self._l1_dir
-            self.fabric.stats_fetches += 1
-            directory._clock += 1
-            entry.lru = directory._clock
-            # Only cancel a served interconnect wait armed for *this*
-            # line: during a re-executed multi-line operation, hits on
-            # the already-fetched leading lines must not clear the wait
-            # armed for a trailing line (that would re-probe and re-arm
-            # it forever — a livelock).
-            wait = self._fetch_wait
-            if wait is not None and wait[0] == line:
-                self._fetch_wait = None
-            if self.pending_abort is not None:
-                raise TransactionAbortSignal(self.pending_abort)
-            m = self.metrics
-            if m is not None:
-                m.note_fetch(line, exclusive, "l1")
-            return (lat.l1_hit, "l1")
         key = (line, exclusive)
         if self._fetch_wait != key:
-            # Own-L2 hit with sufficient ownership: the probe can only
-            # return l2_hit (exclusive-in-L2 rules out the ro_owners
-            # upgrade case), which never triggers a retry — skip it.
-            l2_entry = self._l2_entries.get(line)
-            if l2_entry is None or (
-                exclusive and l2_entry.state is not Ownership.EXCLUSIVE
-            ):
-                probe = self.fabric.probe_latency(self.cpu_id, line, exclusive)
-                if probe > lat.l2_hit:
-                    self._fetch_wait = key
-                    raise FetchRetry(probe - lat.l1_hit, key)
-        # Clear only a wait armed for *this* line (same rule as the
-        # L1-hit path above): an L2 hit on a leading line must not
-        # cancel the interconnect wait armed for a trailing line, or a
+            probe = self.fabric.probe_latency(self.cpu_id, line, exclusive)
+            if probe > lat.l2_hit:
+                self._fetch_wait = key
+                raise FetchRetry(probe - lat.l1_hit, key)
+        # Only cancel a served interconnect wait armed for *this* line:
+        # during a re-executed multi-line operation, a hit on a leading
+        # line must not cancel the wait armed for a trailing line, or a
         # transaction touching several cold lines re-probes and re-arms
         # the trailing fetch forever — a livelock under abort pressure.
         wait = self._fetch_wait
@@ -1100,12 +968,10 @@ class TxEngine(CpuPort):
             self.l1.mark_tx_read(line)
             self.tx.read_set.add(line)
         self._note_octowords(addr, length)
-        fpc = self._fp_read_check
-        if fpc is not None:
-            code = fpc()
-            if code is not None:
-                self._abort_now(code, conflict_token=lines[-1])
-                self.raise_if_pending()
+        code = self.footprint.check_read_capacity()
+        if code is not None:
+            self._abort_now(code, conflict_token=lines[-1])
+            self.raise_if_pending()
 
     def _note_write_lines(self, lines, addr: int, length: int) -> None:
         if not self.tx.active:
@@ -1113,12 +979,10 @@ class TxEngine(CpuPort):
         for line in lines:
             self.l1.mark_tx_dirty(line)
         self._note_octowords(addr, length)
-        fpw = self._fp_write_check
-        if fpw is not None:
-            code = fpw(lines)
-            if code is not None:
-                self._abort_now(code, conflict_token=lines[-1])
-                self.raise_if_pending()
+        code = self.footprint.note_write_lines(lines)
+        if code is not None:
+            self._abort_now(code, conflict_token=lines[-1])
+            self.raise_if_pending()
 
     def _note_octowords(self, addr: int, length: int) -> None:
         """Constrained footprint accounting: at most 4 aligned octowords."""
@@ -1172,39 +1036,26 @@ class TxEngine(CpuPort):
             self.stats_prefetches += 1
             self.l1.mark_tx_read(next_line)
             self.tx.read_set.add(next_line)
-            fpc = self._fp_read_check
-            if fpc is not None:
-                # Speculative over-marking counts against a cardinality
-                # bound exactly like an architected access.
-                code = fpc()
-                if code is not None:
-                    self._abort_now(code, conflict_token=next_line)
-                    self.raise_if_pending()
+            # Speculative over-marking counts against a cardinality
+            # bound exactly like an architected access.
+            code = self.footprint.check_read_capacity()
+            if code is not None:
+                self._abort_now(code, conflict_token=next_line)
+                self.raise_if_pending()
 
     def _read_value(self, addr: int, length: int) -> int:
         """Assemble a load value: STQ forwarding, then store cache, then
         the architected memory image."""
-        end = addr + length
-        # Fast path: nothing pending anywhere near the access — read the
-        # architected image with one page probe and a C-level slice.
-        if not self._stq_entries and (
-            not self._sc_by_block
-            or not self.store_cache.overlaps_range(addr, end)
+        if not self.stq and not self.store_cache.overlaps_range(
+            addr, addr + length
         ):
-            offset = addr & PAGE_MASK
-            if offset + length <= PAGE_BYTES:
-                page = self._mem_pages.get(addr >> PAGE_SHIFT)
-                if page is None:
-                    return 0
-                return int.from_bytes(page[offset : offset + length], "big")
             return self.memory.read_int(addr, length)
         # Buffered stores overlap the access: start from the architected
         # image, then overlay the store cache and finally the (younger)
         # store queue, so the youngest pending value wins per byte.
         buf = bytearray(self.memory.read(addr, length))
         self.store_cache.overlay_range(addr, buf)
-        if self._stq_entries:
-            self.stq.overlay_range(addr, buf)
+        self.stq.overlay_range(addr, buf)
         return int.from_bytes(buf, "big")
 
     def _commit_store(self, addr: int, value: int, length: int, ntstg: bool) -> None:
@@ -1494,7 +1345,7 @@ class TxEngine(CpuPort):
             return False
         tx = self.tx
         return (line in tx.read_set or line in tx.orec_set
-                or self._fp_imprecise(line))
+                or self.footprint.imprecise_read_hit(line))
 
     def _stiff_arm(self, xi: Xi, abort_code: AbortCode) -> Tuple[XiResponse, int]:
         """Reject the XI "in the hope of finishing the transaction before

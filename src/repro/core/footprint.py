@@ -95,11 +95,6 @@ class FootprintPolicy:
     """
 
     name = "abstract"
-    #: Policies that bound the footprint by cardinality set these; the
-    #: engine wires the per-access hooks only when they are True, so the
-    #: default policy's load/store fast paths stay a single None-check.
-    tracks_reads = False
-    tracks_writes = False
 
     def __init__(self) -> None:
         self._engine = None
@@ -166,11 +161,13 @@ class FootprintPolicy:
         return False
 
     def check_read_capacity(self) -> Optional[int]:
-        """Cardinality check after read-set growth (``tracks_reads``)."""
+        """Cardinality check after read-set growth (the engine calls it
+        on every transactional read; only bounded policies answer)."""
         return None
 
     def note_write_lines(self, lines) -> Optional[int]:
-        """Track transactionally written lines (``tracks_writes``)."""
+        """Track transactionally written lines (the engine calls it on
+        every transactional write; only bounded policies answer)."""
         return None
 
     def on_store_overflow(self) -> int:
@@ -282,8 +279,6 @@ class BoundedSetPolicy(FootprintPolicy):
     name = "bounded"
     DEFAULT_READ_LINES = 64
     DEFAULT_WRITE_LINES = 16
-    tracks_reads = True
-    tracks_writes = True
 
     def __init__(self, max_read_lines: int = DEFAULT_READ_LINES,
                  max_write_lines: int = DEFAULT_WRITE_LINES) -> None:

@@ -215,8 +215,8 @@ class _ParkedRetry:
         # are mutated in place, never replaced).
         fabric = engine.fabric
         self.fabric = fabric
-        self.l1_entries = engine._l1_entries
-        self.l2_entries = engine._l2_entries
+        self.l1_entries = engine.l1.directory._entries
+        self.l2_entries = engine.l2.directory._entries
         self.lines = fabric._lines
         self.ports = fabric._ports
         self.reject_lat = fabric._outcome_reject.latency
@@ -696,7 +696,7 @@ class IsaCpu:
         if (addr + 7) & WATCH_BLOCK_MASK != block:
             return False  # load straddles watch blocks: don't park
         line = addr & engine._line_mask
-        if engine._l1_entries.get(line) is None:
+        if engine.l1.directory._entries.get(line) is None:
             # The line was invalidated between certification and this
             # step's event — the next load would miss, breaking the
             # certified latencies.

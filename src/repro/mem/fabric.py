@@ -250,8 +250,9 @@ class CoherenceFabric:
         self.stats_fetches += 1
         port = self._ports[cpu]
         lat = self.lat
-        # ``lookup`` inlined to its dict probe (same for L2 below): the
-        # retry storm of a contended line funnels through here.
+        # ``lookup`` inlined to its dict probe (same for L2 below): this
+        # branch serves every L1 hit of every CPU, and the retry storm of
+        # a contended line funnels through here too.
         l1_dir = port.l1.directory
         entry = l1_dir._entries.get(line)
 

@@ -111,11 +111,7 @@ class StoreQueue:
             entry.overlay(addr, buf)
 
     def drain(self) -> List[StoreQueueEntry]:
-        """Pop every entry in program order (writeback to L1/store cache).
-
-        ``_entries`` is cleared in place — the engine holds an alias to
-        the list for its load fast path's emptiness check.
-        """
+        """Pop every entry in program order (writeback to L1/store cache)."""
         drained = self._entries[:]
         self._entries.clear()
         self._by_block.clear()

@@ -16,10 +16,11 @@ counters in :class:`~repro.sim.results.CpuResult` cannot answer. A
 
 The registry receives events through the engine's **explicit hook
 points** (:class:`~repro.core.engine.MetricsSink`), not method wrapping,
-so it observes PR 1's inlined fast paths and costs nothing when
-detached. Hook sites fire at the exact program points where the
-engine's ``stats_*`` counters increment, so registry totals reconcile
-exactly: ``sum(abort_causes.values()) == CpuResult.tx_aborted`` and
+so it observes every fetch, L1 hits included (all of them go through
+``TxEngine._fetch``), and costs nothing when detached. Hook sites fire
+at the exact program points where the engine's ``stats_*`` counters
+increment, so registry totals reconcile exactly:
+``sum(abort_causes.values()) == CpuResult.tx_aborted`` and
 ``stiff_arms == CpuResult.xi_rejects``.
 
 Summaries are plain dicts (schema ``repro.metrics/1``) that serialise

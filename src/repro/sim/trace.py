@@ -8,10 +8,10 @@ hardware/firmware bring-up analysis the paper's section II.E describes.
 Tracing rides the engine's explicit metrics hook points
 (:class:`~repro.core.engine.MetricsSink`) rather than wrapping methods:
 each engine fires ``note_*`` callbacks from fixed sites on the
-transaction/XI/fetch paths, so inlined fast paths (e.g. the L1-hit
-fetch) are observed too and the hot paths carry a single None-check
-when tracing is off. The quantitative counterpart — abort-cause
-histograms, footprints, JSONL export — is
+transaction/XI/fetch paths (every fetch, L1 hits included, passes the
+one ``note_fetch`` site in ``TxEngine._fetch``), and the hot paths
+carry a single None-check when tracing is off. The quantitative
+counterpart — abort-cause histograms, footprints, JSONL export — is
 :class:`repro.sim.metrics.MetricsRegistry`, which shares the same hook
 points and can be attached alongside a tracer.
 
