@@ -60,8 +60,8 @@ def run_update_experiment(
     machine_params = params.with_cpus(experiment.n_cpus)
     layout = PoolLayout(experiment.pool_size)
     machine = Machine(machine_params)
-    # Pin program emission to the machine's resolved fallback mode so a
-    # params-selected mode needs no matching environment variable.
+    # Emit the fallback path of the machine's mode, so a params-selected
+    # stm machine runs stm harnesses.
     program = build_update_program(
         experiment.scheme,
         layout,

@@ -39,8 +39,8 @@ def _single_cpu_params(
     footprint_policy: str = "",
 ) -> MachineParams:
     if not footprint_policy:
-        # Pin the policy explicitly so the Figure 5(f) ablation measures
-        # what it names even when REPRO_FOOTPRINT_POLICY is set.
+        # Name the Figure 5(f) configuration as a policy, so the machine
+        # reports the ablation it runs rather than the empty default.
         footprint_policy = "zec12" if lru_extension else "no-lru-extension"
     return dataclasses.replace(
         base,

@@ -40,9 +40,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.footprint import resolve_policy_spec
 from ..params import MachineParams, ZEC12
-from ..stm import resolve_fallback_mode
 from ..sim.results import CpuResult, SimResult
 from ..workloads.hashtable import HashtableExperiment, run_hashtable_experiment
 from ..workloads.queue import QueueExperiment, run_queue_experiment
@@ -182,20 +180,14 @@ def task_key(kind: str, experiment: Any, params: MachineParams,
     The key also covers the interpreter version (``major.minor``) and
     whether metrics collection was on, so an entry written under py3.9
     or with metrics off is never served for a py3.12/metrics-on run.
-    The *resolved* footprint-policy spec is keyed explicitly: with the
-    params field at its empty default the policy comes from
-    ``$REPRO_FOOTPRINT_POLICY``, which ``asdict(params)`` cannot see —
-    without this, a cache written under one policy would be served to
-    runs under another. The resolved hybrid-TM fallback mode is keyed
-    the same way (``$REPRO_FALLBACK_MODE``).
+    The footprint policy and fallback mode are params fields, the only
+    place a machine's modes come from, so ``asdict(params)`` keys them.
     """
     blob = json.dumps(
         {
             "kind": kind,
             "experiment": asdict(experiment),
             "params": asdict(params),
-            "footprint_policy": resolve_policy_spec(params),
-            "fallback_mode": resolve_fallback_mode(params),
             "code": code_version(),
             "data_plane": DATA_PLANE_VERSION,
             "python": f"{sys.version_info[0]}.{sys.version_info[1]}",

@@ -260,10 +260,10 @@ class TxEngine(CpuPort):
         self._lat = params.latencies
         self._page_missing = self.page_table._missing
 
-        #: The transactional-footprint capacity policy (resolved from
-        #: ``params.footprint_policy`` / ``$REPRO_FOOTPRINT_POLICY``;
-        #: see :mod:`repro.core.footprint`). The L1 shares the instance
-        #: and funnels its per-transaction resets through it.
+        #: The transactional-footprint capacity policy named by
+        #: ``params.footprint_policy`` (see :mod:`repro.core.footprint`).
+        #: The L1 shares the instance and funnels its per-transaction
+        #: resets through it.
         self.footprint = make_policy(params)
         self.l1 = L1Cache(params.l1, footprint=self.footprint)
         self.l2 = L2Cache(params.l2)

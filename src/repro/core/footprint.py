@@ -40,11 +40,9 @@ the same engine:
     precise and independent of the cache.
 
 Selection: :attr:`repro.params.MachineParams.footprint_policy` names the
-policy spec; an empty spec (the default) falls back to the
-``REPRO_FOOTPRINT_POLICY`` environment variable and finally to
-``"zec12"``. The spec is resolved at engine construction (not in the
-dataclass default) so the module-import-time ``ZEC12`` singleton stays
-environment-independent.
+policy spec; an empty spec (the default) means ``"zec12"``. The params
+field is the only selector, so a machine's policy never depends on the
+environment of the process that builds it.
 
 This module deliberately imports nothing from :mod:`repro.core.engine`
 or :mod:`repro.mem` — the engine and the L1 hand themselves to the
@@ -54,19 +52,14 @@ policy via :meth:`FootprintPolicy.bind` / :meth:`attach_l1` — so
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 from ..errors import ConfigurationError
 from .abort import AbortCode
 
 
-#: Environment fallback consulted when ``params.footprint_policy`` is
-#: empty; an explicit non-empty params value always wins.
-ENV_VAR = "REPRO_FOOTPRINT_POLICY"
-
-#: The policy used when neither the params field nor the environment
-#: names one: the paper's machine.
+#: The policy used when ``params.footprint_policy`` is empty: the
+#: paper's machine.
 DEFAULT_SPEC = "zec12"
 
 #: Base names of every registered policy (specs may append ``:args``).
@@ -311,23 +304,13 @@ class BoundedSetPolicy(FootprintPolicy):
 
 
 def resolve_policy_spec(params) -> str:
-    """The effective policy spec for ``params``.
-
-    An explicit non-empty ``params.footprint_policy`` wins; otherwise
-    the ``REPRO_FOOTPRINT_POLICY`` environment variable; otherwise
-    ``"zec12"``. Resolved here (engine-construction time) rather than in
-    the dataclass default so the import-time ``ZEC12`` singleton does
-    not freeze the environment of whichever process imported it first.
-    """
-    return (
-        getattr(params, "footprint_policy", "")
-        or os.environ.get(ENV_VAR, "")
-        or DEFAULT_SPEC
-    )
+    """The effective policy spec for ``params``: its
+    ``footprint_policy``, or ``"zec12"`` when that is empty."""
+    return getattr(params, "footprint_policy", "") or DEFAULT_SPEC
 
 
 def make_policy(params) -> FootprintPolicy:
-    """Build the footprint policy selected by ``params`` (or the env).
+    """Build the footprint policy selected by ``params``.
 
     Spec grammar: ``name[:args]`` — ``power-spill:128`` sets the spill
     capacity, ``bounded:32,8`` sets the read,write line limits.

@@ -211,17 +211,14 @@ class MachineParams:
     #: Transactional-footprint capacity policy spec (see
     #: :mod:`repro.core.footprint`): ``"zec12"``, ``"no-lru-extension"``,
     #: ``"power-spill[:N]"`` or ``"bounded[:R[,W]]"``. The empty default
-    #: resolves at engine construction to ``$REPRO_FOOTPRINT_POLICY`` or,
-    #: failing that, ``"zec12"``; an explicit non-empty value always wins
-    #: over the environment.
+    #: means ``"zec12"``. This field is the only selector.
     footprint_policy: str = ""
     #: Fallback mode for retry-exhausted ``transaction_with_fallback``
     #: harnesses (see :mod:`repro.stm`): ``"lock"`` (the paper's Figure 1
     #: global-lock fallback, bit-identical default) or ``"stm"`` (the
     #: hybrid-TM orec STM fallback running concurrently with hardware
-    #: transactions). The empty default resolves at engine construction
-    #: to ``$REPRO_FALLBACK_MODE`` or, failing that, ``"lock"``; an
-    #: explicit non-empty value always wins over the environment.
+    #: transactions). The empty default means ``"lock"``. This field is
+    #: the only selector.
     fallback_mode: str = ""
     #: Model speculative over-marking of the tx-read set (section III.C).
     speculation: bool = True

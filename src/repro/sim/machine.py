@@ -89,16 +89,16 @@ class Machine:
 
     @property
     def footprint_policy(self) -> str:
-        """The resolved footprint-policy spec every engine is built with
-        (``params.footprint_policy``, else ``$REPRO_FOOTPRINT_POLICY``,
-        else ``"zec12"``) — see :mod:`repro.core.footprint`."""
+        """The footprint-policy spec every engine is built with
+        (``params.footprint_policy``, else ``"zec12"``) — see
+        :mod:`repro.core.footprint`."""
         return resolve_policy_spec(self.params)
 
     @property
     def fallback_mode(self) -> str:
-        """The resolved hybrid-TM fallback mode every engine is built
-        with (``params.fallback_mode``, else ``$REPRO_FALLBACK_MODE``,
-        else ``"lock"``) — see :mod:`repro.stm`."""
+        """The hybrid-TM fallback mode every engine is built with
+        (``params.fallback_mode``, else ``"lock"``) — see
+        :mod:`repro.stm`."""
         return resolve_fallback_mode(self.params)
 
     def _new_engine(self) -> TxEngine:

@@ -56,7 +56,6 @@ from ..errors import ConfigurationError
 
 __all__ = [
     "FALLBACK_MODES",
-    "ENV_VAR",
     "GCLOCK_ADDR",
     "ORECS_BASE",
     "N_ORECS",
@@ -67,9 +66,6 @@ __all__ = [
     "orec_address",
     "resolve_fallback_mode",
 ]
-
-#: Environment override for :func:`resolve_fallback_mode`.
-ENV_VAR = "REPRO_FALLBACK_MODE"
 
 #: Recognised fallback modes for retry-exhausted TBEGIN harnesses.
 FALLBACK_MODES = ("lock", "stm")
@@ -100,16 +96,10 @@ def orec_address(addr: int) -> int:
 
 
 def resolve_fallback_mode(params) -> str:
-    """The fallback mode an engine built with ``params`` uses.
-
-    Resolution order mirrors :func:`repro.core.footprint.resolve_policy_spec`:
-    an explicit non-empty ``params.fallback_mode`` wins, else
-    ``$REPRO_FALLBACK_MODE``, else ``"lock"`` (the bit-identical default).
-    Resolved at engine construction time so the shared ``ZEC12`` params
-    singleton never freezes the environment.
-    """
-    spec = getattr(params, "fallback_mode", "") or os.environ.get(ENV_VAR, "")
-    mode = spec or "lock"
+    """The fallback mode an engine built with ``params`` uses: its
+    ``fallback_mode``, or ``"lock"`` (the bit-identical default) when
+    that is empty."""
+    mode = getattr(params, "fallback_mode", "") or "lock"
     if mode not in FALLBACK_MODES:
         raise ConfigurationError(
             f"unknown fallback mode {mode!r}; expected one of {FALLBACK_MODES}"

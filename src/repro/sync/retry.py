@@ -42,7 +42,6 @@ from ..cpu.isa import (
     TBEGINC,
     TEND,
 )
-from ..stm import resolve_fallback_mode
 from .spinlock import acquire_lock, release_lock
 
 #: TABORT code used when the elided lock is observed busy. Even, so the
@@ -79,19 +78,18 @@ def transaction_with_fallback(
     the hybrid-TM software path (SBEGIN / fallback body / SEND with a
     PPA-backed retry loop — see :mod:`repro.stm`; the in-transaction
     lock test is dropped, since HW/SW conflict detection runs through
-    orecs instead of a lock word). The default ``None`` resolves from
-    ``$REPRO_FALLBACK_MODE`` like engine construction does, so programs
-    and machines built in one process agree on the mode.
+    orecs instead of a lock word). The default ``None`` means ``"lock"``,
+    like an empty ``MachineParams.fallback_mode``; a program built for
+    an stm machine must pass ``"stm"``.
     """
     p = prefix
-    mode = fallback_mode or resolve_fallback_mode(None)
     fallback = list(fallback_body if fallback_body is not None else body)
     items: List = [
         LHI(RETRY_COUNT_REGISTER, 0),                       # retry count = 0
         (f"{p}.loop", TBEGIN(tdb=tdb_address, grsm=grsm, pifc=pifc)),
         JNZ(f"{p}.abort"),                                  # CC != 0: aborted
     ]
-    if mode == "stm":
+    if fallback_mode == "stm":
         items += list(body)
         items += [
             TEND(),

@@ -36,8 +36,8 @@ def main(argv=None) -> int:
                         help="pin every generated case to this footprint-"
                              "policy spec (e.g. zec12, no-lru-extension, "
                              "power-spill:128, bounded:64,16); default "
-                             "leaves cases unpinned so the engine resolves "
-                             "the policy (incl. $REPRO_FOOTPRINT_POLICY)")
+                             "leaves cases unpinned, which runs them "
+                             "under zec12")
     parser.add_argument("--fallback-mode", default="",
                         choices=("", "lock", "stm"),
                         help="fuzz hybrid-TM histories: 'stm' generates "

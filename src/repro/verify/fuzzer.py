@@ -81,9 +81,8 @@ def fuzz(
 
     A non-None ``footprint_policy`` is stamped into every generated case
     before it runs, so the oracles check that policy and any archived
-    failure replays under it regardless of the replaying machine's
-    environment. ``None`` leaves cases unpinned (engine-side resolution,
-    including ``$REPRO_FOOTPRINT_POLICY``, applies).
+    failure replays under it. ``None`` leaves cases unpinned, which runs
+    them under ``"zec12"``.
 
     ``fallback_mode="stm"`` fuzzes *hybrid* histories: generated cases
     pin the stm fallback, contain retry-exhausting hybrid blocks, and

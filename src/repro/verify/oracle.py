@@ -64,11 +64,9 @@ def case_params(n_cpus: int, speculation: bool,
     """Small-topology machine parameters for verify runs.
 
     ``footprint_policy`` pins the case to one footprint-policy spec; the
-    empty default leaves resolution to the engine (params field, then
-    ``$REPRO_FOOTPRINT_POLICY``, then ``"zec12"``), so an env override
-    runs the whole oracle suite under an alternative policy.
-    ``fallback_mode`` pins the hybrid-TM fallback mode the same way
-    (cases with hybrid blocks always pin ``"stm"``).
+    empty default means ``"zec12"``. ``fallback_mode`` pins the hybrid-TM
+    fallback mode the same way (empty means ``"lock"``; cases with hybrid
+    blocks always pin ``"stm"``).
     """
     cores = max(2, n_cpus)
     return dataclasses.replace(

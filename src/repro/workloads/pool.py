@@ -157,9 +157,8 @@ def build_update_program(
 
     ``fallback_mode`` selects the ``tbegin`` scheme's exhausted-retry
     path (see :func:`~repro.sync.retry.transaction_with_fallback`); the
-    default ``None`` resolves from ``$REPRO_FALLBACK_MODE``. Callers
-    that build the machine from explicit params should pass the params'
-    resolved mode so program emission and engine behaviour agree.
+    default ``None`` means ``"lock"``. Pass the machine's
+    ``fallback_mode`` so program emission and engine behaviour agree.
     """
     if n_vars not in (1, 4):
         raise ConfigurationError("the paper updates either 1 or 4 variables")

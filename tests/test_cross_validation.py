@@ -76,8 +76,7 @@ def test_figure1_harness_matches_paper_listing_structure():
     retry-count init, TBEGIN, lock test, TABORT on busy lock, JO to the
     fallback, the retry threshold of 6, PPA, and compare-and-swap in the
     fallback."""
-    # The paper's listing is the *lock* fallback; pin it so the check
-    # is independent of REPRO_FALLBACK_MODE.
+    # The paper's listing is the *lock* fallback.
     program = build_update_program("tbegin", PoolLayout(10), n_vars=1,
                                    iterations=1, fallback_mode="lock")
     mnemonics = [loc.instruction.mnemonic for loc in program]

@@ -203,8 +203,7 @@ class TestProbeMemoization:
 #: values pinned from the dict-backed reference implementation; any
 #: data-plane change that shifts them is a simulation-semantics bug, not
 #: an optimization.  The pins name the *lock* fallback baseline, so the
-#: mode is fixed explicitly and a ``REPRO_FALLBACK_MODE=stm`` run of the
-#: suite still measures the numbers the pins were taken from.
+#: mode is fixed explicitly in the params.
 LOCK_PARAMS = dataclasses.replace(ZEC12, fallback_mode="lock")
 
 PINNED_POINTS = [

@@ -127,8 +127,6 @@ class TestDemoteXi:
 
 class TestFootprintOverflow:
     def _tiny_l1_harness(self, lru_extension: bool) -> EngineHarness:
-        # Pin the policy these tests exercise, so a suite-wide
-        # REPRO_FOOTPRINT_POLICY override cannot change what they measure.
         params = dataclasses.replace(
             small_params(
                 n_cpus=1,

@@ -1,9 +1,8 @@
 """Pluggable footprint policies: spec parsing, per-policy capacity
 semantics, nesting/aliasing edge cases, and the fabric drain-wake guard.
 
-Policy-sensitive harnesses pin ``footprint_policy`` explicitly so every
-test keeps measuring what it names when the suite runs under a
-``REPRO_FOOTPRINT_POLICY`` override (the CI matrix does exactly that).
+Policy-sensitive harnesses pin ``footprint_policy`` in their params, the
+only place a machine's policy comes from.
 """
 
 import dataclasses
@@ -14,10 +13,8 @@ from conftest import EngineHarness, small_params
 
 from repro.core.abort import AbortCode
 from repro.core.footprint import (
-    ENV_VAR,
     BoundedSetPolicy,
     NoLruExtensionPolicy,
-    PowerSpillPolicy,
     Zec12Policy,
     make_policy,
     resolve_policy_spec,
@@ -42,33 +39,23 @@ def _tiny_l1_harness(footprint_policy: str,
 
 
 class TestSpecResolution:
-    def test_default_is_zec12(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_default_is_zec12(self):
         assert resolve_policy_spec(ZEC12) == "zec12"
         policy = make_policy(ZEC12)
         assert isinstance(policy, Zec12Policy)
         assert policy.lru_extension is True
 
-    def test_zec12_honours_lru_extension_param(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_zec12_honours_lru_extension_param(self):
         policy = make_policy(small_params(lru_extension=False))
         assert isinstance(policy, Zec12Policy)
         assert policy.lru_extension is False
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "power-spill:8")
-        assert resolve_policy_spec(ZEC12) == "power-spill:8"
-        policy = make_policy(ZEC12)
-        assert isinstance(policy, PowerSpillPolicy)
-        assert policy.capacity == 8
-
     def test_explicit_params_beat_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "bounded")
+        monkeypatch.setenv("REPRO_FOOTPRINT_POLICY", "bounded")
         params = small_params(footprint_policy="zec12")
         assert isinstance(make_policy(params), Zec12Policy)
 
-    def test_machine_reports_resolved_policy(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_machine_reports_resolved_policy(self):
         assert Machine(small_params()).footprint_policy == "zec12"
         machine = Machine(small_params(footprint_policy="bounded:32,8"))
         assert machine.footprint_policy == "bounded:32,8"
@@ -283,10 +270,9 @@ class TestPowerSpillPolicy:
 
 
 class TestCapacityBench:
-    def test_zec12_matches_fig5f_machinery(self, monkeypatch):
+    def test_zec12_matches_fig5f_machinery(self):
         """The generic capacity runner reproduces the Figure 5(f)
         numbers exactly for the two historical configurations."""
-        monkeypatch.delenv(ENV_VAR, raising=False)
         from repro.bench.capacity import capacity_point
         from repro.bench.lru import footprint_abort_rate
 

@@ -9,9 +9,9 @@ The tentpole invariants, end to end on the real benchmark harness:
 * ``fallback_mode="lock"`` — explicitly or by default — is
   bit-identical to the pre-hybrid engine (the stm machinery must cost
   nothing when off);
-* the plumbing holds: params beat the environment variable, bench cache
-  keys separate the two modes, and software commit counts surface
-  through ``CpuResult`` and the worker-pool payload round-trip.
+* the plumbing holds: bench cache keys separate the modes, and software
+  commit counts surface through ``CpuResult`` and the worker-pool
+  payload round-trip.
 """
 
 from __future__ import annotations
@@ -68,23 +68,11 @@ class TestHybridExecution:
         assert sum(c.sw_committed for c in result.cpus) == 0
         assert sum(c.sw_aborted for c in result.cpus) == 0
 
-    def test_explicit_lock_equals_default(self, monkeypatch):
-        from repro.stm import ENV_VAR
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_explicit_lock_equals_default(self):
         default = run_update_experiment(SMALL, params=ZEC12)
         pinned = run_update_experiment(SMALL, params=LOCK_PARAMS)
         assert _summary(default) == _summary(pinned)
         assert default.cpus == pinned.cpus
-
-    def test_env_var_selects_stm(self, monkeypatch):
-        from repro.stm import ENV_VAR
-        monkeypatch.setenv(ENV_VAR, "stm")
-        via_env = run_update_experiment(CONTENDED, params=ZEC12)
-        monkeypatch.delenv(ENV_VAR)
-        via_params = run_update_experiment(CONTENDED, params=STM_PARAMS)
-        # Same resolved mode, same machine: identical runs.
-        assert _summary(via_env) == _summary(via_params)
-        assert sum(c.sw_committed for c in via_env.cpus) > 0
 
     def test_stm_mode_is_deterministic(self):
         a = run_update_experiment(CONTENDED, params=STM_PARAMS)
@@ -100,16 +88,12 @@ class TestBenchPlumbing:
         assert (task_key("update", SMALL, ZEC12)
                 != task_key("update", SMALL, STM_PARAMS))
 
-    def test_cache_keys_track_the_environment(self, monkeypatch):
-        # With the params field at its empty default the mode comes from
-        # the environment, which asdict(params) cannot see — the key
-        # must cover the *resolved* mode or a lock-era cache entry would
-        # be served to an stm run.
-        from repro.stm import ENV_VAR
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        default_key = task_key("update", SMALL, ZEC12)
-        monkeypatch.setenv(ENV_VAR, "stm")
-        assert task_key("update", SMALL, ZEC12) != default_key
+    def test_cache_keys_separate_footprint_policies(self):
+        bounded = dataclasses.replace(ZEC12, footprint_policy="bounded")
+        spill = dataclasses.replace(ZEC12, footprint_policy="power-spill")
+        keys = {task_key("update", SMALL, params)
+                for params in (ZEC12, bounded, spill)}
+        assert len(keys) == 3
 
     def test_data_plane_version_covers_hybrid_fields(self):
         # CpuResult grew sw_committed/sw_aborted in v6; stale caches

@@ -277,9 +277,8 @@ class TestTxLog:
         assert json.loads(json.dumps(log)) == log
         for cpu, kind, tbegin_ia, end_ia, code, constrained, rl, wl in (
                 log["entries"]):
-            # sw_commit/sw_abort appear when the stm fallback is active
-            # (REPRO_FALLBACK_MODE=stm runs of the suite).
-            assert kind in ("commit", "abort", "sw_commit", "sw_abort")
+            # The default lock fallback logs no software transactions.
+            assert kind in ("commit", "abort")
             assert constrained in (0, 1)
             assert rl == sorted(rl) and wl == sorted(wl)
 

@@ -22,8 +22,7 @@ def test_prefetch_over_marks_read_set_on_miss():
     """With speculation on, a missing transactional load may also pull
     the next sequential line into the read set (over-marking)."""
     # 60 architected lines + prefetches exceed the bounded policy's
-    # default read cap — pin zec12 so a REPRO_FOOTPRINT_POLICY override
-    # cannot abort the transaction this test measures.
+    # default read cap — the test measures zec12, so it pins it.
     harness = speculative_harness(footprint_policy="zec12")
     engine = harness.engine(0)
     engine.rng.seed(1)

@@ -70,13 +70,6 @@ class TestPinnedBitIdentity:
     # The elided variants pin the env to "1" so they stay meaningful in
     # a run of the suite that exports REPRO_SPIN_ELIDE=0 globally.
 
-    @pytest.fixture(autouse=True)
-    def _lock_fallback(self, monkeypatch):
-        # The pins name the *lock* fallback baseline (see the matching
-        # note in test_dataplane); keep them meaningful on the
-        # REPRO_FALLBACK_MODE=stm matrix leg. Parallel workers fork
-        # after the env change, so they inherit it too.
-        monkeypatch.setenv("REPRO_FALLBACK_MODE", "lock")
     @pytest.mark.parametrize("experiment,pinned", PINNED_POINTS, ids=IDS)
     def test_serial_elided(self, experiment, pinned, monkeypatch):
         monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")

@@ -4,8 +4,8 @@ The STM is the software half of the hybrid fallback: SBEGIN opens a
 software transaction whose loads validate against per-grain ownership
 records, whose stores buffer in a redo log, and whose SEND runs the
 acquire/validate/write-back commit against the global version clock.
-These tests pin the orec address map, the fallback-mode resolution
-chain, and the architected SBEGIN/SEND/SABORT semantics on the real
+These tests pin the orec address map, the fallback-mode resolution,
+and the architected SBEGIN/SEND/SABORT semantics on the real
 machine — single-CPU first, then software-vs-software atomicity.
 """
 
@@ -30,12 +30,13 @@ from repro.cpu.isa import (
     SBEGIN,
     SEND,
     STG,
+    TBEGIN,
+    TEND,
 )
 from repro.errors import ConfigurationError
 from repro.params import ZEC12
 from repro.sim.machine import Machine
 from repro.stm import (
-    ENV_VAR,
     FALLBACK_MODES,
     GCLOCK_ADDR,
     OREC_GRAIN_SHIFT,
@@ -80,43 +81,30 @@ class TestOrecMap:
 
 
 class TestFallbackModeResolution:
-    def test_default_is_lock(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_default_is_lock(self):
         assert resolve_fallback_mode(None) == "lock"
         assert resolve_fallback_mode(ZEC12) == "lock"
 
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "stm")
-        assert resolve_fallback_mode(ZEC12) == "stm"
-
     def test_params_override_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "stm")
+        monkeypatch.setenv("REPRO_FALLBACK_MODE", "stm")
         pinned = dataclasses.replace(ZEC12, fallback_mode="lock")
         assert resolve_fallback_mode(pinned) == "lock"
 
-    def test_unknown_values_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "optimistic")
-        with pytest.raises(ConfigurationError):
-            resolve_fallback_mode(ZEC12)
-        monkeypatch.delenv(ENV_VAR)
+    def test_unknown_values_rejected(self):
         bad = dataclasses.replace(ZEC12, fallback_mode="optimistic")
         with pytest.raises(ConfigurationError):
             resolve_fallback_mode(bad)
 
-    def test_machine_property_resolves(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_machine_property_resolves(self):
         assert Machine(ZEC12).fallback_mode == "lock"
         assert Machine(STM_PARAMS).fallback_mode == "stm"
-        monkeypatch.setenv(ENV_VAR, "stm")
-        assert Machine(ZEC12).fallback_mode == "stm"
 
     def test_modes_registry(self):
         assert FALLBACK_MODES == ("lock", "stm")
 
 
 class TestSbeginRequiresStmMode:
-    def test_sbegin_outside_stm_mode_is_an_error(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_sbegin_outside_stm_mode_is_an_error(self):
         with pytest.raises(Exception, match="SBEGIN"):
             run_stm([SBEGIN(), SEND()], params=ZEC12)
 
@@ -172,6 +160,19 @@ class TestSoftwareTransactions:
         assert machine.memory.read_int(DATA, 8) == 0
         assert result.cpus[0].sw_aborted == 1
         assert result.cpus[0].sw_committed == 0
+
+    def test_abort_restores_the_sbegin_registers(self):
+        machine, _ = run_stm([
+            LHI(3, 7),
+            ("t", SBEGIN()),
+            BRC(7, "done"),  # the SABORT resumes here with CC2
+            LHI(3, 99),
+            SABORT(600),
+            SEND(),
+            "done",
+            STG(3, Mem(disp=OUT)),
+        ])
+        assert machine.memory.read_int(OUT, 8) == 7
 
     def test_reads_see_own_buffered_writes(self):
         machine, _ = run_stm([
@@ -239,8 +240,7 @@ class TestHardwarePublish:
         assert version > 0 and version % 2 == 0
         assert machine.memory.read_int(GCLOCK_ADDR, 8) >= version
 
-    def test_hw_commit_leaves_orecs_alone_in_lock_mode(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_hw_commit_leaves_orecs_alone_in_lock_mode(self):
         machine, result = run_stm([
             *_hw_tx([AGSI(Mem(disp=DATA), 1)]),
         ], params=ZEC12)
@@ -249,8 +249,26 @@ class TestHardwarePublish:
         assert machine.memory.read_int(GCLOCK_ADDR, 8) == 0
 
 
+class TestHardwareSubscription:
+    def test_hw_read_of_a_locked_grain_aborts(self):
+        # An odd orec version means a software commit holds the grain
+        # between lock acquisition and release: a hardware read must
+        # abort rather than observe a half-written-back commit.
+        machine = Machine(STM_PARAMS)
+        machine.memory.write_int(orec_address(DATA), 1, 8)
+        machine.add_program(assemble([
+            TBEGIN(grsm=0xFF),
+            BRC(7, "out"),
+            LG(2, Mem(disp=DATA)),
+            TEND(),
+            "out",
+            HALT(),
+        ]))
+        cpu = machine.run().cpus[0]
+        assert (cpu.tx_aborted, cpu.tx_committed) == (1, 0)
+
+
 def _hw_tx(body):
-    from repro.cpu.isa import TBEGIN, TEND
     return [
         ("h", TBEGIN(grsm=0xFF)),
         BRC(7, "h"),
