@@ -801,7 +801,6 @@ class IsaCpu:
         engine = self.engine
         if (
             not self._retry_on
-            or self._eng_tx.depth
             or engine.pending_abort is not None
             or engine.solo_requested
             or engine.stopped_by_broadcast

@@ -9,7 +9,7 @@ always recoverable (see DESIGN.md, "Value storage").
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..errors import ProtocolError
 from ..params import CacheGeometry
@@ -30,25 +30,20 @@ class SetAssociativeDirectory:
         self.geometry = geometry
         self.name = name
         self.ways = geometry.ways
-        # Rows materialise lazily: large shared caches (L3/L4) have tens
-        # of thousands of congruence classes, almost all of which stay
-        # empty in any given run.
-        self._rows: Dict[int, Dict[int, DirectoryEntry]] = {}
-        #: Flat line -> entry index mirroring ``_rows`` so the dominant
-        #: operation (lookup) is a single dict probe.
+        # Rows materialise lazily and are dropped as soon as they empty:
+        # large shared caches (L3/L4) have tens of thousands of congruence
+        # classes, almost all of which hold at most one line in any given
+        # run. A row is a plain list of at most ``ways`` entries — a dict
+        # per row would cost several times the entry it holds.
+        self._rows: Dict[int, List[DirectoryEntry]] = {}
+        #: Flat line -> entry index over every row: the only way a line is
+        #: found (lookup, install, remove), so rows are never searched.
         self._entries: Dict[int, DirectoryEntry] = {}
         self._clock = 0
         # line_size and rows are powers of two, so the congruence class is
         # a shift-and-mask of the line address.
         self._row_shift = geometry.line_size.bit_length() - 1
         self._row_mask = geometry.rows - 1
-
-    def _row(self, index: int) -> Dict[int, DirectoryEntry]:
-        row = self._rows.get(index)
-        if row is None:
-            row = {}
-            self._rows[index] = row
-        return row
 
     # -- basic queries ----------------------------------------------------
 
@@ -68,11 +63,7 @@ class SetAssociativeDirectory:
         entry.lru = self._clock
 
     def row_entries(self, row: int) -> List[DirectoryEntry]:
-        return list(self._rows.get(row, {}).values())
-
-    def entries(self) -> Iterator[DirectoryEntry]:
-        for row in self._rows.values():
-            yield from row.values()
+        return list(self._rows.get(row, ()))
 
     def occupancy(self) -> int:
         """Total number of valid entries (for tests and statistics)."""
@@ -94,23 +85,27 @@ class SetAssociativeDirectory:
         """
         if state is Ownership.INVALID:
             raise ProtocolError(f"{self.name}: cannot install an invalid line")
-        index = (line >> self._row_shift) & self._row_mask
-        row = self._rows.get(index)
-        if row is None:
-            row = {}
-            self._rows[index] = row
-        entry = row.get(line)
+        entry = self._entries.get(line)
         if entry is None:
-            if len(row) >= self.ways:
-                victim = min(row.values(), key=_lru_key)
+            index = (line >> self._row_shift) & self._row_mask
+            rows = self._rows
+            row = rows.get(index)
+            if row is not None and len(row) >= self.ways:
+                # LRU stamps are unique, so the victim is unambiguous.
+                victim = min(row, key=_lru_key)
                 if evict is not None:
                     evict(victim)
-                # The evict callback may itself have removed entries (e.g.
-                # an abort invalidating tx-dirty lines), so re-check.
-                if row.pop(victim.line, None) is not None:
-                    del self._entries[victim.line]
+                    # The callback may itself have removed entries (e.g.
+                    # an abort invalidating tx-dirty lines), emptying and
+                    # dropping this very row — so look it up again.
+                    row = rows.get(index)
+                if self._entries.pop(victim.line, None) is not None:
+                    row.remove(victim)
             entry = DirectoryEntry(line=line, state=state)
-            row[line] = entry
+            if row is None:
+                rows[index] = [entry]
+            else:
+                row.append(entry)
             self._entries[line] = entry
         else:
             entry.state = state
@@ -122,7 +117,12 @@ class SetAssociativeDirectory:
         """Invalidate ``line`` if present; returns the removed entry."""
         entry = self._entries.pop(line, None)
         if entry is not None:
-            del self._rows[(line >> self._row_shift) & self._row_mask][line]
+            index = (line >> self._row_shift) & self._row_mask
+            row = self._rows[index]
+            if len(row) == 1:
+                del self._rows[index]
+            else:
+                row.remove(entry)
         return entry
 
     def demote(self, line: int) -> None:
@@ -130,23 +130,6 @@ class SetAssociativeDirectory:
         entry = self.lookup(line)
         if entry is not None:
             entry.state = Ownership.READ_ONLY
-
-    def invalidate_where(
-        self, predicate: Callable[[DirectoryEntry], bool]
-    ) -> List[DirectoryEntry]:
-        """Remove all entries matching ``predicate``; returns them.
-
-        Used by the abort path: "all cache lines that were modified by the
-        transaction in the L1 ... have their valid bits turned off,
-        effectively removing them from the L1 cache instantaneously".
-        """
-        removed: List[DirectoryEntry] = []
-        for row in self._rows.values():
-            doomed = [line for line, e in row.items() if predicate(e)]
-            for line in doomed:
-                removed.append(row.pop(line))
-                del self._entries[line]
-        return removed
 
     def clear(self) -> None:
         self._rows.clear()

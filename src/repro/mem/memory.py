@@ -5,11 +5,16 @@ memory image. Pending transactional (and gathered non-transactional) stores
 live in the per-CPU store queue and gathering store cache until they drain
 here — see :mod:`repro.mem.storequeue` and :mod:`repro.mem.storecache`.
 
-The image is stored as paged ``bytearray`` chunks (64 KiB each) in a
-sparse page dict, so multi-byte accesses and the store-cache drain path
-run as C-level slice operations instead of a Python loop per byte. Typed
-accessors read/write big-endian two's-complement integers of 1..16 bytes,
-matching z/Architecture's big-endian layout; unwritten bytes read as zero.
+The image is stored as paged ``bytearray`` chunks in a sparse page dict,
+so multi-byte accesses and the store-cache drain path run as C-level slice
+operations instead of a Python loop per byte. A page is one 256-byte cache
+line rather than 64 KiB: a sparse pool, such as Figure 5's variables at a
+256-byte stride, then pays host memory only for the lines it touches. The
+engine's accesses still fall in one page (aligned loads and stores of up
+to 8 bytes, and store-cache runs within one 128-byte block); an access
+that crosses a line takes the multi-page path. Typed accessors read and
+write big-endian two's-complement integers of 1..16 bytes, matching
+z/Architecture's big-endian layout; unwritten bytes read as zero.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from typing import Dict, Iterable, Tuple
 
 from ..errors import ConfigurationError
 
-#: log2 of the backing-page size. 64 KiB keeps the page dict tiny for the
-#: benchmark footprints while staying far below malloc-arena sizes.
-PAGE_SHIFT = 16
+#: log2 of the backing-page size: one 256-byte cache line, so resident
+#: bytes track the lines a run touches rather than the span it strides.
+PAGE_SHIFT = 8
 PAGE_BYTES = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_BYTES - 1
 
@@ -31,7 +36,7 @@ class MainMemory:
     __slots__ = ("_pages",)
 
     def __init__(self) -> None:
-        #: page index (``addr >> PAGE_SHIFT``) -> 64 KiB bytearray.
+        #: page index (``addr >> PAGE_SHIFT``) -> ``PAGE_BYTES`` bytearray.
         self._pages: Dict[int, bytearray] = {}
 
     def _page(self, index: int) -> bytearray:
@@ -110,16 +115,6 @@ class MainMemory:
         """Write a big-endian integer of ``length`` bytes (two's complement)."""
         mask = (1 << (8 * length)) - 1
         self.write(addr, (value & mask).to_bytes(length, "big"))
-
-    def apply_writes(self, writes: Iterable[Tuple[int, int]]) -> None:
-        """Apply ``(byte_address, value)`` pairs (legacy single-byte path)."""
-        pages = self._pages
-        for addr, value in writes:
-            page = pages.get(addr >> PAGE_SHIFT)
-            if page is None:
-                page = bytearray(PAGE_BYTES)
-                pages[addr >> PAGE_SHIFT] = page
-            page[addr & PAGE_MASK] = value & 0xFF
 
     def apply_runs(self, runs: Iterable[Tuple[int, bytes]]) -> None:
         """Apply ``(address, data)`` runs (the store-cache drain path).

@@ -95,17 +95,6 @@ def test_demote():
     directory.demote(0x999)  # absent: no-op
 
 
-def test_invalidate_where():
-    directory = SetAssociativeDirectory(GEO)
-    a, b = lines_in_row(0, 2)
-    directory.install(a, Ownership.READ_ONLY).tx_dirty = True
-    directory.install(b, Ownership.READ_ONLY)
-    removed = directory.invalidate_where(lambda e: e.tx_dirty)
-    assert [e.line for e in removed] == [a]
-    assert not directory.contains(a)
-    assert directory.contains(b)
-
-
 def test_clear():
     directory = SetAssociativeDirectory(GEO)
     directory.install(0x100, Ownership.READ_ONLY)
@@ -134,3 +123,34 @@ def test_most_recently_installed_survives(line_indices):
         line = index * GEO.line_size
         directory.install(line, Ownership.READ_ONLY)
         assert directory.contains(line)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["install", "remove", "abort"]),
+                          st.integers(min_value=0, max_value=31)),
+                min_size=1, max_size=200))
+def test_rows_mirror_entries(ops):
+    """Property: after any installs, removes and evictions — including
+    eviction callbacks that empty the very row being filled — no row is
+    empty and the rows hold exactly the entries of the line index."""
+    directory = SetAssociativeDirectory(GEO)
+
+    def drop_row(victim):
+        # Like an abort invalidating tx-dirty lines: clear the victim's
+        # whole congruence class before the install continues.
+        for entry in directory.row_entries(directory.row_of(victim.line)):
+            directory.remove(entry.line)
+
+    for op, index in ops:
+        line = index * GEO.line_size
+        if op == "remove":
+            directory.remove(line)
+        else:
+            directory.install(line, Ownership.READ_ONLY,
+                              evict=drop_row if op == "abort" else None)
+        assert all(directory._rows.values())
+        in_rows = [e for row in directory._rows.values() for e in row]
+        assert len(in_rows) == len(directory._entries)
+        assert {e.line: e for e in in_rows} == directory._entries
+        for row_index, row in directory._rows.items():
+            assert len(row) <= GEO.ways
+            assert all(directory.row_of(e.line) == row_index for e in row)

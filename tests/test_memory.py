@@ -39,12 +39,6 @@ def test_partial_overwrite():
     assert memory.read_int(0, 4) == 0xAA11CCDD
 
 
-def test_apply_writes():
-    memory = MainMemory()
-    memory.apply_writes([(10, 0x41), (11, 0x42), (10, 0x43)])
-    assert memory.read(10, 2) == b"CB"
-
-
 def test_footprint_counts_nonzero_bytes():
     memory = MainMemory()
     memory.write(0, b"abc")
@@ -64,6 +58,21 @@ def test_apply_runs_matches_sequential_writes():
     memory.apply_runs([(10, b"AB"), (11, b"CD"), (200, b"z")])
     assert memory.read(10, 3) == b"ACD"
     assert memory.read(200, 1) == b"z"
+
+
+def test_sparse_stride_allocates_one_page_per_line():
+    # Figure 5's pool layout: one 8-byte variable per 256-byte line.
+    # Pages are one cache line, so only the touched lines are resident.
+    memory = MainMemory()
+    lines = 40
+    for i in range(lines):
+        memory.write_int(0x10000 + 256 * i, i + 1, 8)
+    assert PAGE_BYTES == 256
+    assert len(memory._pages) == lines
+    assert all(len(page) == PAGE_BYTES for page in memory._pages.values())
+    assert [memory.read_int(0x10000 + 256 * i, 8) for i in range(lines)] == [
+        i + 1 for i in range(lines)
+    ]
 
 
 def test_cross_page_read_write():

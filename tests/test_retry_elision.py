@@ -144,6 +144,22 @@ class TestPpaBackoffIdentity:
         assert elided.cycles == plain.cycles
 
 
+class TestTransactionalRetryParking:
+    def test_constrained_point_retry_parks_identically(self, monkeypatch):
+        # Back-off chains inside a transaction park like any other: the
+        # pinned TBEGINC point must retry-park and still equal its
+        # non-elided run in every architected number.
+        experiment = UpdateExperiment("tbeginc", 8, 10, 4, iterations=5)
+        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
+        elided = run_update_experiment(experiment)
+        monkeypatch.setenv("REPRO_SPIN_ELIDE", "0")
+        plain = run_update_experiment(experiment)
+        assert elided.sched["retry_parks"] > 0
+        assert plain.sched["retry_parks"] == 0
+        assert elided == plain
+        assert _summary(elided) == (20410, 873, 47, 252)
+
+
 class TestRetryCertification:
     def _cpu_with_owned_line(self, owner):
         # spin_elide=True (not the env default) so the white-box checks
