@@ -31,9 +31,10 @@ def test_queue_tx_vs_locks(benchmark):
     print(f"locks: {lock_result.throughput * 1000:.2f}  "
           f"TBEGINC: {tx_result.throughput * 1000:.2f}  "
           f"ratio {ratio:.2f}x (paper: ~2x)")
-    # Event-composition readout (parked placeholder advances vs plain
-    # steps) for each run, so perf work can see how much placeholder
-    # churn each mode leaves behind.
+    # Event-composition readout (parked placeholder steps — spin steps
+    # counted in closed form plus queued retry ticks — vs plain steps)
+    # for each run, so perf work can see how much parking each mode
+    # does.
     for label, result in (("locks", lock_result), ("TBEGINC", tx_result)):
         sched = result.sched or {}
         events = sched.get("events", 0)

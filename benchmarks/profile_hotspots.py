@@ -59,21 +59,22 @@ def main() -> int:
                                   "retry_wakes", "heap_elides",
                                   "heap_elided_steps", "pushpop_fusions",
                                   "broadcast_stops")))
-    # Event-queue composition: every queue event is either an elided
-    # placeholder advance (parked spin / parked retry) or a plain step
-    # of a running CPU (heap-elided steps never enter the queue).
+    # Event composition: ``events`` counts every scheduled event. Plain
+    # steps and parked-retry ticks pass through the queue; parked-spin
+    # steps never do — the scheduler counts them in closed form at wake
+    # (heap-elided steps are not events at all).
     events = sched.get("events", 0)
     retry_ticks = sched.get("retry_ticks", 0)
     spin_steps = sched.get("spin_steps", 0)
     plain = events - retry_ticks - spin_steps
     if events:
-        print("event-queue composition: "
+        print("event composition: "
               f"{events} events = "
-              f"{spin_steps} parked-spin placeholders ("
+              f"{spin_steps} parked-spin steps, counted not queued ("
               f"{100.0 * spin_steps / events:.1f}%) + "
-              f"{retry_ticks} parked-retry ticks ("
+              f"{retry_ticks} queued parked-retry ticks ("
               f"{100.0 * retry_ticks / events:.1f}%) + "
-              f"{plain} plain steps ({100.0 * plain / events:.1f}%)")
+              f"{plain} queued plain steps ({100.0 * plain / events:.1f}%)")
     print()
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)

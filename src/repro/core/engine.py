@@ -80,12 +80,12 @@ class FetchRetry(Exception):
 class SpinPark(Exception):
     """Raised by a driver's ``step()`` instead of executing a certified
     spin-loop iteration: the CPU has registered a line watch with the
-    fabric and asks the scheduler to park it — subsequent events advance
-    the carried placeholder record arithmetically instead of executing
-    instructions — until a coherence event can change the value it spins
-    on. See :mod:`repro.cpu.interpreter` for the detection/certification
-    rules and :meth:`repro.sim.scheduler.Scheduler.wake_parked` for the
-    un-park."""
+    fabric and asks the scheduler to park it — the scheduler stops
+    queueing its events and counts the elided instructions in closed
+    form from the carried placeholder record — until a coherence event
+    can change the value it spins on. See :mod:`repro.cpu.interpreter`
+    for the detection/certification rules and
+    :meth:`repro.sim.scheduler.Scheduler.wake_parked` for the un-park."""
 
     def __init__(self, rec) -> None:
         super().__init__()

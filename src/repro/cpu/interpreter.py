@@ -127,30 +127,30 @@ class _SpinTracker:
 
 
 class _ParkedSpin:
-    """Placeholder state for a parked spinner's heap events.
+    """Placeholder state for a parked spinner.
 
-    While parked, the CPU's event chain stays in the scheduler's heap —
-    each pop advances ``pos``/``steps``/``loads`` arithmetically through
-    the certified ``(ias, lats)`` cycle instead of calling ``step()``, so
-    event times, push moments, and heap sequence numbers are exactly
-    those of the non-elided run (same-cycle ties resolve identically).
+    While parked, the CPU keeps no event in the scheduler's queue: the
+    scheduler records the chain's anchor and computes, in closed form
+    from the certified ``(ias, lats)`` cycle, how many instructions the
+    CPU would have executed and where its pending event falls (see
+    :class:`repro.sim.scheduler._SpinChain`). It stores the results in
+    ``steps``/``pos`` before :meth:`IsaCpu.spin_unpark` runs.
     """
 
-    #: Scheduler dispatch flag: placeholder advances use the certified
-    #: latency cycle, not the retry tick.
+    #: Scheduler dispatch flag: a spinner's events are counted in closed
+    #: form, a retry waiter's are ticked.
     is_retry = False
 
-    __slots__ = ("line", "block", "period", "ias", "lats", "states",
-                 "load_pos", "count", "nxt", "pos", "steps")
+    __slots__ = ("line", "block", "ias", "lats", "states", "load_pos",
+                 "count", "pos", "steps")
 
-    def __init__(self, line: int, block: int, period: int, ias: List[int],
+    def __init__(self, line: int, block: int, ias: List[int],
                  lats: List[int], states: list, load_pos: int,
                  count: int) -> None:
         self.line = line
         self.block = block
-        self.period = period
         #: Unrotated iteration: ``ias[0]`` is the head; ``lats[j]`` is the
-        #: latency of instruction j.
+        #: latency of instruction j (at least one cycle each).
         self.ias = ias
         self.lats = lats
         #: ``states[j]`` is the (gr tuple, cc) at boundary j — the state
@@ -158,15 +158,10 @@ class _ParkedSpin:
         self.states = states
         self.load_pos = load_pos
         self.count = count
-        #: Successor-position table: ``nxt[j]`` is the cyclic j + 1 —
-        #: the scheduler's per-event advance indexes it instead of
-        #: branching on the wrap.
-        self.nxt = list(range(1, count)) + [0]
         #: Next instruction index in the cycle and the elided
-        #: instruction count accumulated so far. Watched-line loads are
-        #: not tracked per event: consumption positions are strictly
-        #: sequential from 0, so the count is closed-form from ``steps``
-        #: at unpark.
+        #: instruction count. Watched-line loads are not tracked per
+        #: event: consumption positions are strictly sequential from 0,
+        #: so the count is closed-form from ``steps`` at unpark.
         self.pos = 0
         self.steps = 0
 
@@ -679,8 +674,9 @@ class IsaCpu:
         for i in range(n - 1):
             ias.append(steps[i][0])
             lats.append(steps[i][1])
-        period = sum(lats)
-        if period <= 0:
+        if min(lats) <= 0:
+            # The scheduler orders a parked chain's events by their
+            # predecessors' cycles, which must come strictly earlier.
             return False
         load_pos = ias.index(cand.load_ia)
         # The load's effective address comes from the register state at
@@ -702,7 +698,7 @@ class IsaCpu:
             # certified latencies.
             return False
         rec = _ParkedSpin(
-            line, block, period, ias, lats, sp.park_states, load_pos, n,
+            line, block, ias, lats, sp.park_states, load_pos, n,
         )
         # Parked at the instruction after the head: the head of the
         # certifying iteration has already executed.
@@ -714,12 +710,12 @@ class IsaCpu:
     def spin_unpark(self) -> None:
         """Materialize the architected state of a parked spinner.
 
-        The scheduler advanced the placeholder to instruction index
-        ``rec.pos``, counting ``rec.steps`` elided instructions (the
+        The scheduler set ``rec.pos`` to the pending event's instruction
+        index and ``rec.steps`` to the elided instruction count (the
         in-flight one included, exactly as a real step would have been
         executed optimistically at push time). Flush those counts, replay
         the L1-hit accounting of the elided loads, and restore the
-        registers/CC/PSW of the resume boundary so the pending heap event
+        registers/CC/PSW of the resume boundary so the pending event
         re-enters real execution seamlessly.
         """
         rec = self._spin_rec

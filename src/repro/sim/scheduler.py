@@ -2,10 +2,10 @@
 
 Each CPU driver exposes ``step() -> latency`` (one instruction / one
 operation) and a ``done`` flag. The scheduler keeps a priority queue of
-``(time, seq, cpu)`` events and always resumes the CPU with the smallest
+``(time, key, cpu)`` events and always resumes the CPU with the smallest
 local clock, so cross-CPU interactions (XIs, stiff-arming, conflicts)
-happen in global-time order. Every push consumes the next sequence
-number, so equal-time events run in push order.
+happen in global-time order. Events due in the same cycle run in push
+order: every push takes the next sequence number as its key.
 
 The event queue is a bare :mod:`heapq` list (``Scheduler._queue``). At
 the occupancy the contended benchmarks reach (one event per CPU, a few
@@ -17,28 +17,64 @@ Three special behaviours:
   line fetch was stiff-armed — the CPU is rescheduled after the back-off
   delay and re-executes the same instruction. A *certified* back-off
   chain parks instead (:class:`~repro.core.engine.RetryPark`): the
-  parked chain's events re-evaluate the probe/busy/stiff-arm decision
-  against live fabric state (:meth:`Scheduler._retry_tick`) without
-  re-executing the instruction, until the fetch would succeed;
-* a :class:`~repro.core.engine.SpinPark` parks a certified spin loop —
-  pops advance the placeholder arithmetically (see ``_ParkedSpin``);
+  parked chain's queue events re-evaluate the probe/busy/stiff-arm
+  decision against live fabric state (:meth:`Scheduler._retry_tick`)
+  without re-executing the instruction, until the fetch would succeed;
+* a :class:`~repro.core.engine.SpinPark` parks a certified spin loop,
+  which leaves the queue altogether (see below);
 * the **broadcast-stop** (solo) mode of constrained-transaction
   millicode: while a CPU holds the solo token, all other CPUs' events
   are deferred ("millicode can broadcast to other CPUs to stop all
   conflicting work, retry the local transaction, before releasing the
   other CPUs").
 
-A parked CPU keeps a real placeholder event in the queue: each pop of
-it advances the chain by exactly one event and pushes the successor
-with a fresh sequence number, as the non-elided run would have. Event
-times, tie-breaks and ``stats_events`` are therefore identical with
-parking on and off. A wake leaves the pending event in place; the next
-pop runs it for real.
+Parked spinners
+---------------
+
+A parked spinner's events have no side effects: each would advance the
+CPU one instruction through its certified ``(ias, lats)`` cycle and push
+the next. So the spinner keeps no event in the queue. Its chain is
+recorded once, at park, as an *anchor* (:class:`_SpinChain`): the
+parking event's time, cycle position and queue key, and the number of
+pushes made so far by events that are not spinner placeholders
+(*non-spinner pushes*). Event ``g`` of the chain falls at a closed-form
+time, so at a wake, the cycle budget or the deadlock guard the chain's
+step count, cycle position and pending event come out in constant time,
+and only that pending event is pushed, under a :class:`_SpinKey`.
+
+What the per-event pops used to decide is tie order. An event ranks
+among the events due in its cycle by when it was pushed, which is when
+its predecessor popped. So a spinner event comes after exactly the
+non-spinner events pushed before its predecessor popped, and the count
+of those, ``N``, is read off a log of non-spinner pushes
+(:class:`_OrderLog`: the time and key of the pop that made each push).
+Only when a logged pop falls in the predecessor's own cycle does the
+count look one more step back along the chain. Two spinner events with
+equal ``N`` were pushed by pops in the same stretch between non-spinner
+pushes, so they rank as their predecessors did; chains whose event
+times coincide from park onward (the same time pattern: same period,
+same phase) keep the order fixed when the later one parked, recorded as
+an ordinal in their lockstep group.
+
+Heap elision (stepping a CPU in a tight loop while its next deadline
+precedes every queued event) must still stop at a parked spinner's
+pending event, which is read from a per-period table of the parked
+chains' phases (:meth:`Scheduler._spin_top`). Event counts are
+therefore the same as if every placeholder were pushed: ``stats_events``
+counts each elided spinner step as the push it stands for. With parking
+off a spinner's own steps may heap-elide instead, so what is invariant
+between parking on and off is ``events + heap_elided_steps``.
+
+While the broadcast-stop machinery is engaged, no spinner is parked:
+engaging it materializes every parked chain, and the drivers refuse to
+park while it lasts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from heapq import heappop, heappush, heappushpop
+from itertools import accumulate
 from typing import List, Optional, Tuple
 
 from ..core.engine import FetchRetry, RetryPark, SpinPark
@@ -50,12 +86,257 @@ from ..mem.xi import Xi, XiResponse
 #: cycle budget.
 _BUDGET = object()
 
+#: Beyond any simulated time.
+_NEVER = 0x7FFFFFFFFFFFFFFF
+
+#: The ordering log is pruned once it holds this many entries (or twice
+#: what the last prune kept, whichever is larger).
+_LOG_PRUNE_AT = 512
+
+
+class _OrderLog:
+    """Non-spinner pushes made while spinner chains are live.
+
+    Entry ``i`` is push number ``base + i + 1``: it was made while the
+    event ``(times[i], keys[i])`` was being processed, so it precedes
+    every pop ranked after that event. ``times`` is non-decreasing, and
+    within one time ``keys`` increase, since pops run in ``(time, key)``
+    order. Entries older than ``floor`` are pruned; no live chain can
+    ask about them.
+    """
+
+    __slots__ = ("times", "keys", "base", "floor", "cap")
+
+    def __init__(self, pushes: int) -> None:
+        """Start logging after ``pushes`` non-spinner pushes."""
+        self.times: List[int] = []
+        self.keys: list = []
+        self.base = pushes
+        self.floor = 0
+        self.cap = _LOG_PRUNE_AT
+
+    def _at(self, time: int) -> Tuple[int, int]:
+        """The index range of the logged pops at ``time``."""
+        if time < self.floor:
+            raise ProtocolError(
+                f"spin ordering log pruned past cycle {time} "
+                f"(floor {self.floor})"
+            )
+        times = self.times
+        lo = bisect_left(times, time)
+        return lo, bisect_right(times, time, lo)
+
+
+class _SpinChain:
+    """A parked spinner's event chain in closed form.
+
+    Event ``g`` (``g`` counts cycle positions from the chain's origin)
+    falls at ``origin + (g // count) * period + prefix[g % count]``. The
+    anchor is event ``g0`` at ``t0``: its successor was pushed after
+    ``n0`` non-spinner pushes, and ``key0`` ranks the anchor itself (the
+    key of the event whose processing parked the CPU; None once
+    re-anchored, when nothing can tie with it any more). ``g_park`` is
+    the anchor at park, from which the step count runs.
+    """
+
+    __slots__ = ("index", "log", "count", "period", "origin", "prefix",
+                 "g_park", "g0", "t0", "n0", "key0", "known_g", "known_n",
+                 "q", "phases", "group", "ordinal", "g_end")
+
+    def __init__(self, index: int, log: _OrderLog, prefix: List[int],
+                 pattern: Tuple[int, tuple], g0: int, t0: int, n0: int,
+                 key0) -> None:
+        self.index = index
+        self.log = log
+        self.count = count = len(prefix) - 1
+        self.period = prefix[count]
+        self.prefix = prefix
+        self.origin = t0 - prefix[g0]
+        self.g_park = self.g0 = g0
+        self.t0 = t0
+        self.n0 = n0
+        self.key0 = key0
+        #: The latest event whose ``N`` is known (``N`` is final once the
+        #: event's predecessor has popped, and every query comes after
+        #: that), so walks back stop there.
+        self.known_g = g0 + 1
+        self.known_n = n0
+        #: Lockstep group: the time pattern (see :func:`_time_pattern`);
+        #: chains with equal patterns have coinciding event times. The
+        #: ordinal is the fixed tie order within the group (see
+        #: ``Scheduler._join_group``).
+        self.group = pattern
+        self.q, self.phases = pattern
+        self.ordinal = (0,)
+        #: The materialized event, once woken (None while parked).
+        self.g_end: Optional[int] = None
+
+    def _due(self, g: int) -> int:
+        c, j = divmod(g, self.count)
+        return self.origin + c * self.period + self.prefix[j]
+
+    def _first_due(self, time: int) -> int:
+        """The first event due at or after ``time``."""
+        c, rem = divmod(time - self.origin, self.period)
+        return c * self.count + bisect_left(self.prefix, rem)
+
+    def _rank(self, g: int):
+        """The queue key event ``g`` would carry."""
+        if g == self.g0:
+            if self.key0 is None:
+                raise ProtocolError(
+                    f"cpu {self.index}: tie resolution reached a "
+                    "re-anchored spin chain's anchor"
+                )
+            return self.key0
+        return _SpinKey(self, g, -1)
+
+
+def _time_pattern(prefix: List[int], origin: int) -> Tuple[int, tuple]:
+    """The smallest period ``q`` of the set of event times
+    ``origin + prefix[j] (mod period)`` and its phases (residues mod
+    ``q``)."""
+    period = prefix[-1]
+    phases = {(origin + offset) % period for offset in prefix[:-1]}
+    q = period
+    for d in range(1, period):
+        if period % d == 0 and all((r + d) % period in phases
+                                   for r in phases):
+            q = d
+            break
+    return q, tuple(sorted({r % q for r in phases}))
+
+
+def _pushes_before(chain: _SpinChain, g: int) -> int:
+    """``N`` of chain event ``g``: the non-spinner pushes made before it
+    was pushed, i.e. before event ``g - 1`` popped.
+
+    Those are the logged pushes whose pop precedes event ``g - 1``: every
+    pop of an earlier cycle, and the pops of its own cycle that rank
+    below it. Only in the second case is event ``g - 1``'s own rank (and
+    so its ``N``) needed; the walk back stops at the first predecessor
+    whose cycle has no logged pop, at the latest known ``N`` or at the
+    anchor. (A CPU whose heap-elided run breaks at every spinner event
+    logs a pop in each of the chain's cycles, so without the known ``N``
+    each query would walk back to the anchor.)
+    """
+    log = chain.log
+    top = g
+    known_g = chain.known_g
+    stack = []
+    while True:
+        if g == known_g:
+            n = chain.known_n
+            break
+        gp = g - 1
+        if gp == chain.g0:
+            n = chain.n0
+            break
+        lo, hi = log._at(chain._due(gp))
+        if lo == hi:
+            n = log.base + lo
+            break
+        stack.append((lo, hi, gp))
+        g = gp
+    keys = log.keys
+    while stack:
+        lo, hi, gp = stack.pop()
+        pred = _SpinKey(chain, gp, n)
+        k = lo
+        while k < hi and _key_lt(keys[k], pred):
+            k += 1
+        n = log.base + k
+    if top > known_g:
+        chain.known_g = top
+        chain.known_n = n
+    return n
+
+
+def _key_lt(a, b) -> bool:
+    """Does the event keyed ``a`` rank before the one keyed ``b``?
+
+    Both events are due in the same cycle. Plain keys are push numbers;
+    a real event precedes a spinner event iff it was pushed no later
+    than the spinner event's ``N``-th non-spinner push.
+    """
+    while True:
+        if a.__class__ is int:
+            if b.__class__ is int:
+                return a < b
+            return a <= b._pushes()
+        if b.__class__ is int:
+            return a._pushes() < b
+        ca = a.chain
+        cb = b.chain
+        if ca.group == cb.group:
+            return ca.ordinal < cb.ordinal
+        na = a._pushes()
+        nb = b._pushes()
+        if na != nb:
+            return na < nb
+        # Pushed in the same stretch between non-spinner pushes: in
+        # the order their predecessors popped.
+        ta = ca._due(a.g - 1)
+        tb = cb._due(b.g - 1)
+        if ta != tb:
+            return ta < tb
+        a = ca._rank(a.g - 1)
+        b = cb._rank(b.g - 1)
+
+
+def _between(a: Optional[tuple], b: Optional[tuple]) -> tuple:
+    """An ordinal strictly between ``a < b`` (None: unbounded).
+
+    Ordinals are int tuples compared lexicographically, so a gap never
+    runs out and no existing ordinal ever changes.
+    """
+    if b is None:
+        return (0,) if a is None else (a[0] + 1,)
+    if a is None:
+        return (b[0] - 1,)
+    if b[:len(a)] == a:
+        return a + (b[len(a)] - 1,)
+    return a + (0,)
+
+
+class _SpinKey:
+    """Queue key of a spinner event: chain event ``g`` of ``chain``.
+
+    Compares with plain push-number keys and with other spinner keys
+    through :func:`_key_lt`; the heap only compares keys of events due
+    in the same cycle.
+    """
+
+    __slots__ = ("chain", "g", "n")
+
+    def __init__(self, chain: _SpinChain, g: int, n: int) -> None:
+        self.chain = chain
+        self.g = g
+        self.n = n
+
+    def _pushes(self) -> int:
+        n = self.n
+        if n < 0:
+            n = self.n = _pushes_before(self.chain, self.g)
+        return n
+
+    def __lt__(self, other) -> bool:
+        return _key_lt(self, other)
+
+    def __gt__(self, other) -> bool:
+        return _key_lt(other, self)
+
+    def __eq__(self, other) -> bool:
+        return self is other
+
+    __hash__ = object.__hash__
+
 
 class Scheduler:
     """Runs a set of drivers to completion in simulated time."""
 
-    #: Read by the benchmark's mode readout (``perfbench/run.py``):
-    #: parked chains always keep real placeholder events in the queue.
+    #: Read by the benchmark's mode readout (``perfbench/run.py``); no
+    #: alternative numbering exists.
     virtseq = False
 
     def __init__(self, drivers: List) -> None:
@@ -71,17 +352,36 @@ class Scheduler:
         #: interleavings of the same program; must return a non-negative
         #: int to keep simulated time monotonic.
         self.perturb = None
+        #: Non-spinner pushes so far (the last key handed out).
         self._seq = 0
         self._horizon = 0
         #: Times the broadcast-stop (solo) token was granted to a CPU.
         self.stats_broadcast_stops = 0
-        #: Parked CPUs (index -> placeholder record). A parked CPU's
-        #: event chain stays in the queue — pops advance the placeholder
-        #: (``_ParkedSpin``: arithmetically through the certified cycle;
-        #: ``_ParkedRetry``: one probe/busy/reject decision against live
-        #: fabric state per event), preserving event times and sequence
-        #: numbers exactly. The fabric un-parks via :meth:`wake_parked`.
+        #: Parked CPUs (index -> placeholder record). A parked retry
+        #: waiter's event chain stays in the queue (``_ParkedRetry``: one
+        #: probe/busy/reject decision against live fabric state per
+        #: event); a parked spinner's chain is in ``_chains``. The fabric
+        #: un-parks via :meth:`wake_parked`.
         self._parked: dict = {}
+        #: Parked spinners' chains (index -> :class:`_SpinChain`).
+        self._chains: dict = {}
+        #: Period -> ``(phases, chains by phase)`` of the parked chains:
+        #: the sorted phases in use and the chains at each.
+        self._phase_table: dict = {}
+        #: Time pattern -> live chains of that lockstep group, in their
+        #: fixed tie order.
+        self._groups: dict = {}
+        #: Time pattern per (certified latency cycle, phase): most
+        #: parks repeat a few.
+        self._patterns: dict = {}
+        #: Non-spinner pushes while spinner keys are live (None until a
+        #: chain parks, and again once no chain is parked and no spinner
+        #: key is queued).
+        self._log: Optional[_OrderLog] = None
+        #: The event being processed: wakes rank the woken chain's
+        #: pending event against it.
+        self._pop_time = 0
+        self._pop_key = 0
         #: Drivers that are neither done nor parked. When this hits zero
         #: with only spinners parked, nothing can ever write their
         #: watched lines again (deadlock guard); parked retry waiters
@@ -97,8 +397,8 @@ class Scheduler:
         #: Parked-retry back-off events advanced by :meth:`_retry_tick`
         #: (folded in from the records at wake/budget time).
         self.stats_retry_ticks = 0
-        #: Parked-spin placeholder events advanced arithmetically
-        #: (ditto; these are whole elided instructions).
+        #: Parked-spin placeholder events counted in closed form (ditto;
+        #: these are whole elided instructions).
         self.stats_spin_steps = 0
         self.stats_heap_elides = 0
         self.stats_heap_elided_steps = 0
@@ -110,20 +410,24 @@ class Scheduler:
         #: Solo index the broadcast-stop flags were last applied for
         #: ("idle" = never applied / cleared).
         self._stop_applied_for = "idle"
-        #: The event queue: a :mod:`heapq` list of ``(time, seq, index)``.
-        self._queue: List[Tuple[int, int, int]] = []
+        #: The event queue: a :mod:`heapq` list of ``(time, key, index)``.
+        self._queue: List[Tuple[int, object, int]] = []
         self._deferred: List[Tuple[int, int]] = []
         for index in range(len(drivers)):
             self._push(0, index)
 
     @property
     def stats_events(self) -> int:
-        """Total events ever scheduled (every queue push consumes one
-        sequence number, parked placeholder pushes included)."""
-        return self._seq
+        """Total events ever scheduled: every queue push, plus one per
+        parked spinner step (the push that step stands for)."""
+        return self._seq + self.stats_spin_steps
 
     def _push(self, time: int, index: int) -> None:
         self._seq += 1
+        log = self._log
+        if log is not None:
+            log.times.append(self._pop_time)
+            log.keys.append(self._pop_key)
         heappush(self._queue, (time, self._seq, index))
 
     def _solo_index(self) -> Optional[int]:
@@ -145,6 +449,15 @@ class Scheduler:
 
         Returns the final simulated time.
         """
+        try:
+            return self._run(max_cycles)
+        finally:
+            # Logged spinner keys refer to their chains, which refer to
+            # the log: drop it, so a finished scheduler is freed by
+            # refcounting.
+            self._end_log()
+
+    def _run(self, max_cycles: Optional[int]) -> int:
         queue = self._queue
         drivers = self.drivers
         deferred = self._deferred
@@ -153,12 +466,13 @@ class Scheduler:
         solo_waiters = self._solo_waiters
         parked = self._parked
         parked_get = parked.get
+        chains = self._chains
         pre_step = self.pre_step
         perturb = self.perturb
         limit = max_cycles
         # Budget sentinel: comparisons against an int beat a None-check
-        # per event; 2**63 is beyond any simulated time.
-        limit_t = 0x7FFFFFFFFFFFFFFF if limit is None else limit
+        # per event.
+        limit_t = _NEVER if limit is None else limit
         # Arm spin/retry elision on the drivers. Per-step hooks must
         # observe (pre_step) or perturb (jitter) every instruction
         # individually, so either one disables spin parking; the
@@ -187,10 +501,18 @@ class Scheduler:
                 elif deferred:
                     self._flush_deferred()
                     continue
+                elif chains:
+                    # Only parked spinners are left, and only other CPUs'
+                    # stores could wake them.
+                    if limit is None:
+                        self._raise_parked_deadlock()
+                    return self._finish_budget(limit)
                 else:
                     break
-            time, _, index = event
+            time, key, index = event
             event = None
+            self._pop_time = time
+            self._pop_key = key
             driver = drivers[index]
             if driver.done:
                 self._n_active -= 1
@@ -225,22 +547,24 @@ class Scheduler:
                     # write back, release), after which the stop flag
                     # holds the CPU before it starts anything new.
             # Heap-eliding fast loop. While this driver's next deadline
-            # strictly precedes every queued event, re-pushing and
-            # popping it would hand the CPU straight back — so step it
-            # in a tight local loop instead. Strict comparison is
-            # required: at equal times the queued event carries the
-            # smaller sequence number and must run first. The loop is
-            # left (falling back to the queue) the moment any cross-CPU
-            # machinery could engage: the driver finishing, a
-            # broadcast-stop request or deferral appearing, or the next
-            # deadline reaching another CPU's event.
+            # strictly precedes every queued event and every parked
+            # spinner's pending one, re-pushing and popping it would hand
+            # the CPU straight back — so step it in a tight local loop
+            # instead. Strict comparison is required: at equal times the
+            # queued event carries the smaller sequence number and must
+            # run first. The loop is left (falling back to the queue) the
+            # moment any cross-CPU machinery could engage: the driver
+            # finishing, a broadcast-stop request or deferral appearing,
+            # or the next deadline reaching another CPU's event.
             rec = parked_get(index) if parked else None
             if rec is None:
                 engine = driver.engine
                 elide_steps = 0
-                # The queue cannot change while this driver steps (only
-                # the scheduler pushes), so its top is loop-invariant.
-                top_time = queue[0][0] if queue else None
+                # Read after the first step (which may wake a spinner
+                # and queue its pending event); only the scheduler and
+                # wakes push, so it then stays valid while this driver
+                # steps: a wake's event is never due before it.
+                top_time = -1
                 while True:
                     if time > self.now:
                         self.now = time
@@ -252,10 +576,8 @@ class Scheduler:
                         latency = retry.delay
                     except SpinPark as park:
                         # The driver certified a spin loop and parked
-                        # before executing its head. Switch this CPU's
-                        # event chain to placeholder mode: the advance
-                        # below continues from the park moment exactly
-                        # where real execution stopped.
+                        # before executing its head; the chain starts
+                        # with this very event.
                         parked[index] = rec = park.rec
                         self._n_active -= 1
                         self.stats_parks += 1
@@ -279,8 +601,15 @@ class Scheduler:
                         or solo_waiters
                         or deferred
                         or self._stop_applied_for != "idle"
-                        or (top_time is not None and end >= top_time)
                     ):
+                        break
+                    if top_time < 0:
+                        top_time = queue[0][0] if queue else _NEVER
+                        if chains and end < top_time:
+                            spin = self._spin_top(end)
+                            if spin < top_time:
+                                top_time = spin
+                    if end >= top_time:
                         break
                     if end > limit_t:
                         # Mirror of the pop-time budget check for the
@@ -299,9 +628,20 @@ class Scheduler:
                     if not driver.done:
                         self._seq += 1
                         item = (end, self._seq, index)
+                        log = self._log
+                        if log is not None:
+                            log.times.append(self._pop_time)
+                            log.keys.append(key)
+                            if len(log.times) > log.cap:
+                                self._prune_log()
                         if engine.solo_requested:
                             heappush(queue, item)
                             solo_waiters.add(index)
+                            if chains:
+                                # Broadcast-stop engages: no spinner may
+                                # stay parked while it lasts.
+                                for parked_index in sorted(chains):
+                                    self.wake_parked(parked_index)
                         elif queue and not deferred and not solo_waiters:
                             # Nothing can run between this push and the
                             # next pop, so fuse them; the popped event
@@ -316,14 +656,10 @@ class Scheduler:
                     if deferred and self._solo_index() is None:
                         self._flush_deferred()
                     continue
-            # --- parked placeholder handling --------------------------
-            if self._n_active == 0 and not deferred and not solo_waiters:
-                # Spinners can only be woken by other CPUs' stores/XIs;
-                # retry waiters advance on their own (their ticks keep
-                # simulated time and the fabric moving), so any of them
-                # present means the machine is still live.
-                if limit is None and self._n_retry_parked == 0:
-                    self._raise_parked_deadlock()
+                if not rec.is_retry:
+                    self._park_spinner(index, rec, time, key)
+                    continue
+            # --- parked retry waiter ----------------------------------
             if solo_waiters or deferred or self._stop_applied_for != "idle":
                 # Solo machinery engaged: every non-solo pop was deferred
                 # above unless this CPU is an STM committer holding
@@ -331,9 +667,9 @@ class Scheduler:
                 # wake it anyway. A wake is exact at any pop, so un-park
                 # and run this very event for real.
                 self.wake_parked(index)
-                event = (time, 0, index)
+                event = (time, key, index)
                 continue
-            event = self._drain_parked(time, index, rec, limit_t)
+            event = self._drain_parked(time, key, index, rec, limit_t)
             if event is _BUDGET:
                 return self._finish_budget(limit)
         if self._horizon > self.now:
@@ -341,36 +677,24 @@ class Scheduler:
         return self.now
 
     # ------------------------------------------------------------------
-    # parked placeholder events
+    # parked retry waiters
     # ------------------------------------------------------------------
 
-    def _drain_parked(self, time: int, index: int, rec, limit_t: int):
-        """Advance placeholder events, starting with parked CPU
+    def _drain_parked(self, time: int, key, index: int, rec, limit_t: int):
+        """Tick parked retry waiters' events, starting with CPU
         ``index``'s popped event at ``time``, for as long as the queue
-        keeps handing back parked CPUs' events.
+        keeps handing back retry waiters' events.
 
         Returns the next event for the outer loop (a real CPU's, or a
         woken CPU's re-executed one), None when the successor went back
         to the queue, or ``_BUDGET`` when a pop crosses ``limit_t``.
 
-        While the queue keeps handing back parked CPUs' events, nothing
-        real can run and none of the outer-loop state (done flags, solo
-        requests, deferrals) can change — so placeholders advance in a
-        tight loop, one event per iteration, fusing each push with the
-        following pop.
-
-        A parked *spinner* walks its certified (ias, lats) cycle
-        arithmetically — applying exactly the per-event effects of the
-        non-elided run, so event times, push moments, and sequence-number
-        order come out identical. ``self.now`` needs no updates for
-        these: nothing observes it until a real event exits to the outer
-        loop, whose pop time bounds every drained time from above.
-
-        A parked *retry waiter* ticks through its back-off chain. Ticks
-        touch the fabric (probes, stiff-arm XIs), so ``self.now`` is kept
-        current and any CPU a tick wakes surfaces to the outer loop when
-        its event pops. A wake never touches the queue, so its length is
-        drain-invariant.
+        While the queue keeps handing back parked CPUs' events, none of
+        the outer-loop state (done flags, solo requests, deferrals) can
+        change — so ticks run in a tight loop, one event per iteration,
+        fusing each push with the following pop. Ticks touch the fabric
+        (probes, stiff-arm XIs), so ``self.now`` is kept current, and a
+        spinner a tick wakes is ranked against the tick's event.
 
         ``_horizon`` is deliberately not updated here: a parked CPU's
         chain either reaches a wake — after which its real pushes (which
@@ -385,36 +709,31 @@ class Scheduler:
         fusions = 0
         event = None
         while True:
-            if rec.is_retry:
-                # Pops are globally time-ordered, so this store is
-                # monotone; ticks touch the fabric (probes, stiff-arm
-                # XIs with interval recording), which observes the
-                # clock.
-                self.now = time
-                end = retry_tick(rec, time)
-                if end < 0:
-                    # The pending fetch would leave the retry chain:
-                    # un-park and re-execute this very event for real
-                    # through the outer loop. The sequence number no
-                    # longer matters — the event never re-enters the
-                    # queue.
-                    self.wake_parked(index)
-                    event = (time, 0, index)
-                    break
-            else:
-                pos = rec.pos
-                end = time + rec.lats[pos]
-                rec.steps += 1
-                rec.pos = rec.nxt[pos]
+            # Pops are globally time-ordered, so this store is monotone;
+            # ticks touch the fabric (probes, stiff-arm XIs with
+            # interval recording), which observes the clock.
+            self.now = time
+            self._pop_time = time
+            self._pop_key = key
+            end = retry_tick(rec, time)
+            if end < 0:
+                # The pending fetch would leave the retry chain: un-park
+                # and re-execute this very event for real through the
+                # outer loop.
+                self.wake_parked(index)
+                event = (time, key, index)
+                break
             seq += 1
+            log = self._log
+            if log is not None:
+                log.times.append(time)
+                log.keys.append(key)
             if not queue:
-                # Lone chain: hand it back through the outer loop,
-                # whose deadlock guard must see every pop.
                 heappush(queue, (end, seq, index))
                 break
             fusions += 1
             event = heappushpop(queue, (end, seq, index))
-            time, _, index = event
+            time, key, index = event
             if time > limit_t:
                 event = _BUDGET
                 break
@@ -536,42 +855,274 @@ class Scheduler:
         return time + perturb(rec.cpu, probe - rec.l1_hit)
 
     # ------------------------------------------------------------------
+    # parked spinners
+    # ------------------------------------------------------------------
+
+    def _park_spinner(self, index: int, rec, time: int, key) -> None:
+        """Record CPU ``index``'s chain, anchored at its parking event
+        (due at ``time``, processed under the popped event's ``key``).
+
+        A CPU never parks while the broadcast-stop machinery is engaged:
+        every CPU that can step then is either the solo CPU or stopped,
+        and the driver refuses to park in both states.
+        """
+        if (self._solo_waiters or self._deferred
+                or self._stop_applied_for != "idle"):
+            raise ProtocolError(
+                f"cpu {index} parked a spin loop during a broadcast stop"
+            )
+        log = self._log
+        if log is None:
+            log = self._log = _OrderLog(self._seq)
+        prefix = [0, *accumulate(rec.lats)]
+        g0 = rec.pos
+        phase = (time - prefix[g0]) % prefix[-1]
+        cached = (tuple(rec.lats), phase)
+        pattern = self._patterns.get(cached)
+        if pattern is None:
+            pattern = self._patterns[cached] = _time_pattern(prefix, phase)
+        chain = _SpinChain(index, log, prefix, pattern, g0, time,
+                           self._seq, key)
+        self._join_group(chain)
+        self._add_phases(chain)
+        self._chains[index] = chain
+
+    def _join_group(self, chain: _SpinChain) -> None:
+        """Give ``chain`` its fixed tie order among the live chains that
+        run in lockstep with it.
+
+        Lockstep chains' events always fall due together, and the one
+        pushed first stays first: its successor is pushed first too. So
+        the order, fixed here at the anchor, holds at every later cycle.
+        The members whose event at the anchor's time popped before the
+        anchor come first; they are a prefix of the group's order.
+        """
+        pattern = chain.group
+        t0 = chain.t0
+        members = [
+            m for m in self._groups.get(pattern, ())
+            if m.g_end is None or m._due(m.g_end) >= t0
+        ]
+        key0 = chain.key0
+        lo, hi = 0, len(members)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            other = members[mid]
+            if _key_lt(other._rank(other._first_due(t0)), key0):
+                lo = mid + 1
+            else:
+                hi = mid
+        chain.ordinal = _between(
+            members[lo - 1].ordinal if lo else None,
+            members[lo].ordinal if lo < len(members) else None,
+        )
+        members.insert(lo, chain)
+        self._groups[pattern] = members
+
+    def _add_phases(self, chain: _SpinChain) -> None:
+        entry = self._phase_table.get(chain.q)
+        if entry is None:
+            entry = self._phase_table[chain.q] = ([], {})
+        phases, at = entry
+        for phase in chain.phases:
+            members = at.get(phase)
+            if members is None:
+                at[phase] = [chain]
+                insort(phases, phase)
+            else:
+                members.append(chain)
+
+    def _drop_phases(self, chain: _SpinChain) -> None:
+        q = chain.q
+        phases, at = self._phase_table[q]
+        for phase in chain.phases:
+            members = at[phase]
+            members.remove(chain)
+            if not members:
+                del at[phase]
+                del phases[bisect_left(phases, phase)]
+        if not phases:
+            del self._phase_table[q]
+
+    def _spin_top(self, end: int) -> int:
+        """The earliest pending event of any parked spinner, as seen
+        from the event being processed — or any parked spinner event
+        due by ``end``, when one is (the heap-elision loop only needs to
+        know it must stop)."""
+        now = self._pop_time
+        best = _NEVER
+        for q, (phases, _) in self._phase_table.items():
+            r = now % q
+            i = bisect_right(phases, r)
+            t = now - r + (phases[i] if i < len(phases) else q + phases[0])
+            if t < best:
+                best = t
+        if best <= end:
+            return best
+        # Nothing due strictly later by ``end``: is a chain event due now
+        # still pending?
+        for q, (_, at) in self._phase_table.items():
+            for chain in at.get(now % q, ()):
+                if chain._due(self._pending(chain)) == now:
+                    return now
+        return best
+
+    def _pending(self, chain: _SpinChain) -> int:
+        """The chain's first event not yet popped, as seen from the
+        event being processed."""
+        now = self._pop_time
+        g = chain._first_due(now)
+        if g <= chain.g0:
+            return chain.g0 + 1
+        if chain._due(g) == now and _key_lt(chain._rank(g), self._pop_key):
+            g += 1
+        return g
+
+    def _end_chain(self, index: int, g: int) -> None:
+        """Stop CPU ``index``'s chain before its event ``g``: fold the
+        elided steps into its record."""
+        chain = self._chains.pop(index)
+        self._drop_phases(chain)
+        rec = self._parked[index]
+        rec.steps = g - chain.g_park
+        rec.pos = g % chain.count
+        chain.g_end = g
+        self.stats_spin_steps += rec.steps
+
+    def _prune_log(self) -> None:
+        """Drop the ordering-log entries no live chain can ask about.
+
+        Queries about a chain's events never reach behind its anchor, so
+        long parks are re-anchored first (:meth:`_reanchor`). The live
+        chains are the parked ones and those whose keys are queued; a
+        logged key is compared when a live chain's query reaches its
+        cycle, and its chain then keeps the entries back to its own
+        anchor, hence the fixed point.
+        """
+        log = self._log
+        queued = [key.chain for _, key, _ in self._queue
+                  if key.__class__ is _SpinKey]
+        if not self._chains and not queued:
+            # Only parked chains and queued spinner keys ever ask the
+            # log anything.
+            self._end_log()
+            return
+        times = log.times
+        keys = log.keys
+        logged = [(times[k], key.chain) for k, key in enumerate(keys)
+                  if key.__class__ is _SpinKey]
+        self._reanchor(queued, logged)
+        floor = min(chain.t0 for chain in (*self._chains.values(), *queued))
+        while True:
+            lower = floor
+            for time, chain in logged:
+                if time >= floor and chain.t0 < lower:
+                    lower = chain.t0
+            if lower >= floor:
+                break
+            floor = lower
+        cut = bisect_left(times, floor)
+        if cut:
+            del times[:cut]
+            del keys[:cut]
+            log.base += cut
+        if floor > log.floor:
+            log.floor = floor
+        log.cap = max(_LOG_PRUNE_AT, 2 * len(times))
+
+    def _reanchor(self, queued: list, logged: list) -> None:
+        """Move parked chains' anchors up to a recent event no query can
+        ever rank.
+
+        A tie walk between two chains that do not run in lockstep stops
+        within ``2 * (q1 + q2)`` cycles of where it started: two
+        distinct periodic time patterns cannot coincide over a window of
+        ``q1 + q2`` cycles. Walks start at pending events, which are
+        never earlier than the event being processed, or at a woken
+        chain's logged pop. So an event at least that far back, with no
+        logged pop of a woken chain within that distance after it, is
+        never ranked again: it can anchor the chain, carrying only the
+        push count its successor needs.
+        """
+        chains = self._chains.values()
+        q_live = max(chain.q for chain in (
+            *chains, *queued, *(chain for _, chain in logged)))
+        pops = [time for time, _ in logged]
+        now = self._pop_time
+        for chain in chains:
+            span = 2 * (chain.q + q_live)
+            latest = now - span
+            while chain.t0 < latest:
+                g = chain._first_due(latest + 1) - 1
+                if g <= chain.g0:
+                    break
+                time = chain._due(g)
+                i = bisect_left(pops, time)
+                if i == len(pops) or pops[i] > time + span:
+                    chain.n0 = _pushes_before(chain, g + 1)
+                    if chain.known_g <= g:
+                        chain.known_g = g + 1
+                        chain.known_n = chain.n0
+                    chain.g0 = g
+                    chain.t0 = time
+                    chain.key0 = None
+                    break
+                latest = pops[i] - span - 1
+
+    def _end_log(self) -> None:
+        """Drop the ordering log and the lockstep groups: no chain is
+        live, or the run is over."""
+        log = self._log
+        if log is not None:
+            log.times.clear()
+            log.keys.clear()
+            self._log = None
+        self._groups.clear()
+
+    # ------------------------------------------------------------------
     # park/wake support
     # ------------------------------------------------------------------
 
     def wake_parked(self, index: int) -> None:
         """Fabric callback: un-park a CPU after a coherence event on its
-        watched line (also used by the retry tick's wake path). Restores
-        whatever the placeholder kind requires — elided instruction/load
-        counts and the resume-boundary registers for a spinner (see
-        ``IsaCpu.spin_unpark``), nothing but the watch for a retry
-        waiter (``IsaCpu.retry_unpark``) — and the CPU's pending queue
-        event then re-enters real execution unchanged. A no-op for CPUs
-        that are not parked, so conservative wake sources need no
-        checks.
+        watched line (also used by the retry tick's wake path and when
+        broadcast-stop engages). A spinner's pending event is pushed
+        under its :class:`_SpinKey`, and its elided instruction/load
+        counts and resume-boundary registers are restored (see
+        ``IsaCpu.spin_unpark``); a retry waiter's pending event is
+        already queued and it only drops its watch
+        (``IsaCpu.retry_unpark``). Either way the pending event then
+        re-enters real execution unchanged. A no-op for CPUs that are
+        not parked, so conservative wake sources need no checks.
         """
-        rec = self._parked.pop(index, None)
+        rec = self._parked.get(index)
         if rec is None:
             return
         self._n_active += 1
         if rec.is_retry:
+            del self._parked[index]
             self._n_retry_parked -= 1
             self.stats_retry_ticks += rec.ticks
             self.drivers[index].retry_unpark()
             self.stats_retry_wakes += 1
-        else:
-            self.stats_spin_steps += rec.steps
-            self.drivers[index].spin_unpark()
-            self.stats_wakes += 1
+            return
+        chain = self._chains[index]
+        g = self._pending(chain)
+        key = _SpinKey(chain, g, _pushes_before(chain, g))
+        self._end_chain(index, g)
+        del self._parked[index]
+        heappush(self._queue, (chain._due(g), key, index))
+        self.drivers[index].spin_unpark()
+        self.stats_wakes += 1
 
     def _finish_budget(self, limit: int) -> int:
         """Stop at the cycle budget, materializing parked CPUs first.
 
-        Each spin placeholder has counted exactly the instructions a
-        non-elided run would have executed by this point (the in-flight
-        one included), so flushing the counts and dropping the watches is
-        the whole job; a retry placeholder applied its effects live at
-        every tick, so only its watch needs dropping.
+        A spinner has stepped through every chain event due by the
+        limit (the in-flight one included), so flushing those counts and
+        dropping the watches is the whole job; a retry placeholder
+        applied its effects live at every tick, so only its watch needs
+        dropping.
         """
         if self._parked:
             for index in sorted(self._parked):
@@ -581,7 +1132,8 @@ class Scheduler:
                     self.drivers[index].retry_unpark()
                     self.stats_retry_wakes += 1
                 else:
-                    self.stats_spin_steps += rec.steps
+                    self._end_chain(index, self._chains[index]._first_due(
+                        limit + 1))
                     self.drivers[index].spin_unpark()
                     self.stats_wakes += 1
             self._parked.clear()
@@ -610,10 +1162,9 @@ class Scheduler:
         stiff-arm the solo CPU's fetches — its conflicting transactions
         abort immediately instead.
 
-        Parked spinners need no special handling: their placeholder
-        events sit in the queue like any other CPU's and get deferred
-        (and time-warped) by the ordinary solo machinery. Parked retry
-        waiters notice the stop flag at their next tick and wake.
+        No spinner is parked while a solo is outstanding (the request
+        materializes them all). Parked retry waiters notice the stop
+        flag at their next tick and wake.
         """
         for index, driver in enumerate(self.drivers):
             driver.engine.stopped_by_broadcast = (

@@ -298,6 +298,110 @@ class TestCycleBudgetBoundary:
         assert parked.sched["spin_steps"] > 0
 
 
+class TestEventCountInvariant:
+    """Parked spinner steps are counted, not queued: ``events`` counts
+    each one as the push it stands for. With parking off the same
+    spinner steps may heap-elide instead, so ``events`` alone differs
+    between the two runs; ``events + heap_elided_steps`` does not."""
+
+    #: Unbudgeted points and their pinned ``events + heap_elided_steps``.
+    POINTS = [
+        (UpdateExperiment("coarse", 48, 10, 4, iterations=15), 502_148),
+        (UpdateExperiment("coarse", 24, 10, 4, iterations=15), 58_230),
+        (UpdateExperiment("tbegin", 24, 10, 4, iterations=15), 75_748),
+    ]
+
+    @pytest.mark.parametrize(
+        "experiment,total", POINTS,
+        ids=[f"{e.scheme}-{e.n_cpus}" for e, _ in POINTS],
+    )
+    def test_events_plus_elided_steps(self, experiment, total,
+                                      monkeypatch):
+        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
+        parked = run_update_experiment(experiment).sched
+        monkeypatch.setenv("REPRO_SPIN_ELIDE", "0")
+        plain = run_update_experiment(experiment).sched
+        assert parked["parks"] > 0 and parked["spin_steps"] > 0
+        assert plain["parks"] == 0
+        assert parked["events"] != plain["events"]
+        assert parked["events"] + parked["heap_elided_steps"] == total
+        assert plain["events"] + plain["heap_elided_steps"] == total
+
+
+def _spin_and_stop_machine(spin_elide):
+    """Coarse-lock spinners beside contended TBEGINC CPUs: constrained
+    transactions escalate to broadcast stops while spinners are
+    parked."""
+    machine = Machine(ZEC12.with_cpus(16), spin_elide=spin_elide)
+    constrained = build_update_program(
+        "tbeginc", PoolLayout(10), n_vars=4, iterations=5)
+    locked = build_update_program(
+        "coarse", PoolLayout(10, pool_base=0x0200_0000), n_vars=4,
+        iterations=5, fallback_mode=machine.fallback_mode)
+    for _ in range(8):
+        machine.add_program(constrained)
+    for _ in range(8):
+        machine.add_program(locked)
+    return machine
+
+
+class TestBroadcastStopWhileParked:
+    def test_stop_materializes_parked_spinners(self, monkeypatch):
+        # Engaging broadcast-stop wakes every parked spinner; the run
+        # must still match the elision-off run (REPRO_CHECK replays it
+        # and raises on any divergence).
+        woken_during_stop = []
+        wake = Scheduler.wake_parked
+
+        def watching_wake(self, index):
+            rec = self._parked.get(index)
+            if rec is not None and not rec.is_retry and self._solo_waiters:
+                woken_during_stop.append(index)
+            wake(self, index)
+
+        monkeypatch.setattr(Scheduler, "wake_parked", watching_wake)
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        result = _spin_and_stop_machine(True).run()
+        assert result.sched["parks"] > 0
+        assert result.sched["broadcast_stops"] > 0
+        assert woken_during_stop
+        assert result == _spin_and_stop_machine(False).run()
+
+
+class TestLongParks:
+    def test_long_park_reanchors_and_stays_identical(self, monkeypatch):
+        # Spinners parked through a long critical section: the ordering
+        # log must be pruned (re-anchoring the parked chains) rather
+        # than grow with the holder's pushes, and the run must match the
+        # elision-off run.
+        from repro.sync.spinlock import acquire_lock, release_lock
+
+        holder = (acquire_lock(LOCK, "l") + [LHI(9, 30_000), ("d", AHI(9, -1)), JNZ("d")]
+                  + release_lock(LOCK) + [HALT()])
+        waiter = acquire_lock(LOCK, "l") + release_lock(LOCK) + [HALT()]
+        moved = []
+        reanchor = Scheduler._reanchor
+
+        def watching_reanchor(self, queued, logged):
+            before = {i: c.g0 for i, c in self._chains.items()}
+            reanchor(self, queued, logged)
+            moved.extend(i for i, c in self._chains.items()
+                         if c.g0 != before[i])
+            assert len(self._log.times) <= self._log.cap + 1
+
+        monkeypatch.setattr(Scheduler, "_reanchor", watching_reanchor)
+        results = []
+        for elide in (True, False):
+            machine = Machine(ZEC12.with_cpus(4), spin_elide=elide)
+            machine.add_program(assemble(holder))
+            for _ in range(3):
+                machine.add_program(assemble(waiter))
+            results.append(machine.run())
+        assert results[0].sched["parks"] > 0
+        assert moved
+        assert results[0] == results[1]
+
+
 class TestSpinCheck:
     def test_differential_run_passes(self, monkeypatch):
         monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
