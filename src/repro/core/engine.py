@@ -65,9 +65,11 @@ class FetchRetry(Exception):
     """A fetch was stiff-armed; re-execute the operation after ``delay``.
 
     ``info`` is the ``(line, exclusive)`` key of the fetch that raised,
-    set by the two raise sites in :meth:`TxEngine._fetch` — the retry
-    certification in :mod:`repro.cpu.interpreter` uses it to recognise a
-    back-off chain re-probing the same line.
+    set by the two raise sites in :meth:`TxEngine._fetch` (a probe raise
+    arms ``_fetch_wait`` with it; a busy or reject try leaves
+    ``_fetch_wait`` clear). The retry certification in
+    :mod:`repro.cpu.interpreter` parks the chain at a try raise, and the
+    parked chain's ticks watch that line.
     """
 
     def __init__(self, delay: int, info=None) -> None:
@@ -93,20 +95,24 @@ class SpinPark(Exception):
 
 
 class RetryPark(Exception):
-    """Raised by a driver's ``step()`` instead of re-executing a certified
-    ``FetchRetry`` back-off step: the CPU has registered a retry watch
-    with the fabric and asks the scheduler to park it — subsequent events
+    """Raised by a driver's ``step()`` in place of a certified
+    ``FetchRetry``: the step's busy or stiff-armed try raised, the CPU
+    has registered a retry watch with the fabric, and it asks the
+    scheduler to park the back-off chain. The scheduler schedules the
+    CPU's next event ``delay`` cycles on, exactly as for the
+    ``FetchRetry`` (jitter included); that event and its successors
     re-evaluate the probe/busy/stiff-arm decision against live fabric
-    state and advance the chain arithmetically (exact timestamps,
-    sequence numbers and reject counters) until the fetch would succeed,
-    at which point the CPU wakes and the pending event re-enters real
-    execution unchanged. See :mod:`repro.cpu.interpreter` for the
-    certification rules and :meth:`repro.sim.scheduler.Scheduler._retry_tick`
-    for the per-event advance."""
+    state and advance the chain (exact timestamps, sequence numbers and
+    reject counters) until the fetch would succeed, at which point the
+    CPU wakes and the pending event re-enters real execution unchanged.
+    See :mod:`repro.cpu.interpreter` for the certification rules and
+    :meth:`repro.sim.scheduler.Scheduler._retry_tick` for the per-event
+    advance."""
 
-    def __init__(self, rec) -> None:
+    def __init__(self, rec, delay: int) -> None:
         super().__init__()
         self.rec = rec
+        self.delay = delay
 
 
 class MetricsSink:

@@ -169,6 +169,7 @@ class _ParkedSpin:
 class _ParkedRetry:
     """Placeholder state for a parked ``FetchRetry`` back-off chain.
 
+    Built at the busy or stiff-armed try raise that parks the chain.
     While parked, the CPU's event chain stays in the scheduler's queue —
     each pop re-evaluates the probe/busy/stiff-arm decision of the
     pending fetch against live fabric state (see
@@ -277,20 +278,9 @@ class IsaCpu:
         self._spin: Optional[_SpinTracker] = None
         #: :class:`_ParkedSpin` record while parked.
         self._spin_rec: Optional[_ParkedSpin] = None
-        #: Retry-chain certification: ``(ia, line, exclusive, owner)`` of
-        #: the last observed eligible FetchRetry raise, or None.
-        self._retry_trk: Optional[tuple] = None
-        #: Armed by a second raise of the tracked chain with the owner
-        #: unchanged: the next ``step()`` for that chain parks instead of
-        #: re-executing.
-        self._retry_armed = False
-        #: Fabric fetch-counter snapshot at entry to a tracked retry
-        #: re-execution (-1 = no snapshot). The raise-time delta
-        #: fingerprints a single-line operation: a probe raise performs
-        #: no fetch, a busy/reject raise exactly one — any leading L1-hit
-        #: fetches (multi-line operations replay them every retry step)
-        #: break the fingerprint and block parking.
-        self._retry_fetch0 = -1
+        #: The shared fabric, whose fetch counter ``step()`` snapshots to
+        #: fingerprint a retry raise (see :meth:`_retry_note`).
+        self._fabric = engine.fabric
         #: :class:`_ParkedRetry` record while retry-parked.
         self._retry_rec: Optional[_ParkedRetry] = None
         #: Address -> pre-decoded record (see :class:`_Decoded`). Its
@@ -457,15 +447,8 @@ class IsaCpu:
             # park instead of executing the certified iteration.
             if self._try_park(sp):
                 raise SpinPark(self._spin_rec)
-        if self._retrying == ia:
-            trk = self._retry_trk
-            if trk is not None and trk[0] == ia:
-                # Re-executing a tracked back-off chain: park before the
-                # step when armed, else snapshot the fetch counter so the
-                # next raise can fingerprint the step.
-                if self._retry_armed and self._retry_try_park(trk):
-                    raise RetryPark(self._retry_rec)
-                self._retry_fetch0 = engine.fabric.stats_fetches
+        # Fetches made so far: a retry raise's delta fingerprints the step.
+        fetch0 = self._fabric.stats_fetches
         try:
             per = self._eng_per
             if per.ifetch_range is not None:
@@ -516,8 +499,8 @@ class IsaCpu:
             # step boundary costs more than returning.
             self._retrying = ia
             self._spin = None
-            if self._retry_on:
-                self._retry_note(ia, retry.info)
+            if self._retry_on and self._retry_note(retry.info, fetch0):
+                raise RetryPark(self._retry_rec, retry.delay)
             return retry.delay
         except TransactionAbortSignal as signal:
             self._retrying = None
@@ -556,10 +539,6 @@ class IsaCpu:
         )
         if not self._elide_on:
             self._spin = None
-        if not self._retry_on:
-            self._retry_trk = None
-            self._retry_armed = False
-            self._retry_fetch0 = -1
 
     def _spin_sig(self) -> tuple:
         return (tuple(self.regs.gr), self._psw.condition_code)
@@ -745,74 +724,52 @@ class IsaCpu:
     # retry-storm elision: certification, parking, wake
     # ------------------------------------------------------------------
 
-    def _retry_note(self, ia: int, info) -> None:
-        """Raise-time certification hook (called from the FetchRetry
-        catch in :meth:`step` whenever elision is armed).
+    def _retry_note(self, info, fetch0: int) -> bool:
+        """Raise-time certification (called from the FetchRetry catch in
+        :meth:`step` whenever retry elision is armed); True when the
+        chain parks, with its record in ``_retry_rec``.
 
-        The first eligible raise records the chain's ``(ia, line,
-        exclusive)`` and the line's current exclusive owner; a later
-        raise of the same chain arms parking iff the owner is unchanged
-        and the step's fetch fingerprint shows a single-line operation.
-        An owner change mid-backoff (the quantity the back-off is
-        waiting out) restarts certification from the new owner.
+        The chain parks at its first busy or stiff-armed *try*: the raise
+        left ``_fetch_wait`` clear (a probe raise arms it, and the try
+        that follows a probe may succeed at once, so probe raises never
+        park), and the step performed exactly one fetch since ``fetch0``
+        — a single-line operation (a multi-line one replays its leading
+        L1-hit fetches every retry step, which ticks do not emulate).
+
+        Parking at the first raise is exact because every later step of
+        the chain is a re-execution (``_retrying`` is set): it runs no
+        ``note_tx_instruction``, completes no instruction and leaves the
+        architected state alone, so its only effects are the fetch
+        decision's, which the scheduler's ticks re-read live — owner,
+        busy window and stiff-arm verdict included — at every event.
         """
-        if info is None:
-            self._retry_trk = None
-            self._retry_armed = False
-            self._retry_fetch0 = -1
-            return
-        line, exclusive = info
-        engine = self.engine
-        fabric = engine.fabric
-        lineinfo = fabric._lines.get(line)
-        owner = lineinfo.ex_owner if lineinfo is not None else -1
-        trk = self._retry_trk
-        fetch0 = self._retry_fetch0
-        self._retry_fetch0 = -1
         if (
-            trk is not None
-            and fetch0 >= 0
-            and trk[0] == ia and trk[1] == line and trk[2] == exclusive
-            and trk[3] == owner
+            info is None
+            or self.engine._fetch_wait is not None
+            or self._fabric.stats_fetches - fetch0 != 1
         ):
-            # After a probe raise ``_fetch_wait`` holds the key (no fetch
-            # performed this step); after a busy/reject raise it is clear
-            # (try_fetch counted exactly one).
-            expected = 0 if engine._fetch_wait == (line, exclusive) else 1
-            self._retry_armed = (
-                fabric.stats_fetches - fetch0 == expected
-            )
-            return
-        self._retry_trk = (ia, line, exclusive, owner)
-        self._retry_armed = False
+            return False
+        return self._retry_try_park(info)
 
-    def _retry_try_park(self, trk: tuple) -> bool:
-        """Validate park-time conditions and build the parked record.
+    def _retry_try_park(self, info) -> bool:
+        """Apply the park refusals and build the parked record.
 
-        Returns True with the retry watch registered (caller raises
-        :class:`RetryPark`), or False with certification restarted — the
-        pending retry step then executes normally.
+        Returns True with the retry watch registered (the caller raises
+        :class:`RetryPark`), or False when a refusal applies — a pending
+        abort, a solo request, a broadcast stop, a missing page or a PER
+        range; the raise then backs off as an ordinary ``FetchRetry``.
         """
-        self._retry_armed = False
         engine = self.engine
         if (
-            not self._retry_on
-            or engine.pending_abort is not None
+            engine.pending_abort is not None
             or engine.solo_requested
             or engine.stopped_by_broadcast
             or engine._page_missing
             or self._eng_per.ifetch_range is not None
             or self._eng_per.branch_range is not None
         ):
-            self._retry_trk = None
             return False
-        ia, line, exclusive, owner = trk
-        lineinfo = engine.fabric._lines.get(line)
-        if (lineinfo.ex_owner if lineinfo is not None else -1) != owner:
-            # Owner moved between arming and the park point: the chain is
-            # no longer waiting out the certified owner — restart.
-            self._retry_trk = None
-            return False
+        line, exclusive = info
         rec = _ParkedRetry(engine, line, line & WATCH_BLOCK_MASK, exclusive)
         self._retry_rec = rec
         engine.add_retry_watch(rec.line, rec.block)
@@ -824,17 +781,14 @@ class IsaCpu:
         The parked ticks applied every engine-visible effect of the
         elided retry steps as they happened and left ``_fetch_wait`` in
         the phase the next step expects, so — unlike a spin un-park —
-        there is nothing to materialize: drop the watch and the
-        certification state, and the pending event re-executes the
-        retrying instruction for real.
+        there is nothing to materialize: drop the watch, and the pending
+        event re-executes the retrying instruction for real (still as a
+        re-execution: ``_retrying`` was set by the parking raise).
         """
         rec = self._retry_rec
         if rec is None:
             return
         self._retry_rec = None
-        self._retry_trk = None
-        self._retry_armed = False
-        self._retry_fetch0 = -1
         self.engine.clear_retry_watch()
 
     def _branch_to(self, target: int) -> None:

@@ -15,11 +15,14 @@ Three special behaviours:
 
 * a :class:`~repro.core.engine.FetchRetry` from a driver means the CPU's
   line fetch was stiff-armed — the CPU is rescheduled after the back-off
-  delay and re-executes the same instruction. A *certified* back-off
-  chain parks instead (:class:`~repro.core.engine.RetryPark`): the
-  parked chain's queue events re-evaluate the probe/busy/stiff-arm
-  decision against live fabric state (:meth:`Scheduler._retry_tick`)
-  without re-executing the instruction, until the fetch would succeed;
+  delay and re-executes the same instruction. When the driver certifies
+  the raise of a busy or stiff-armed try it raises
+  :class:`~repro.core.engine.RetryPark` instead, carrying the same
+  delay: the CPU's next event is scheduled exactly as for the
+  ``FetchRetry`` and the chain parks, so that event and its successors
+  re-evaluate the probe/busy/stiff-arm decision against live fabric
+  state (:meth:`Scheduler._retry_tick`) without re-executing the
+  instruction, until the fetch would succeed;
 * a :class:`~repro.core.engine.SpinPark` parks a certified spin loop,
   which leaves the queue altogether (see below);
 * the **broadcast-stop** (solo) mode of constrained-transaction
@@ -583,14 +586,18 @@ class Scheduler:
                         self.stats_parks += 1
                         break
                     except RetryPark as park:
-                        # The driver certified a FetchRetry back-off
-                        # chain and parked before re-executing it; the
-                        # tick below advances the chain from this very
-                        # step.
+                        # The step's try raised and the driver certified
+                        # the back-off chain: schedule its next event as
+                        # for the FetchRetry, and let that event's pops
+                        # tick the chain (_drain_parked).
                         parked[index] = rec = park.rec
                         self._n_active -= 1
                         self._n_retry_parked += 1
                         self.stats_retry_parks += 1
+                        latency = park.delay
+                        if perturb is not None:
+                            latency = perturb(index, latency)
+                        end = time + latency if latency > 0 else time
                         break
                     if perturb is not None:
                         latency = perturb(index, latency)
@@ -622,7 +629,7 @@ class Scheduler:
                 if elide_steps:
                     self.stats_heap_elides += 1
                     self.stats_heap_elided_steps += elide_steps
-                if rec is None:
+                if rec is None or rec.is_retry:
                     if end > self._horizon:
                         self._horizon = end
                     if not driver.done:
@@ -656,9 +663,8 @@ class Scheduler:
                     if deferred and self._solo_index() is None:
                         self._flush_deferred()
                     continue
-                if not rec.is_retry:
-                    self._park_spinner(index, rec, time, key)
-                    continue
+                self._park_spinner(index, rec, time, key)
+                continue
             # --- parked retry waiter ----------------------------------
             if solo_waiters or deferred or self._stop_applied_for != "idle":
                 # Solo machinery engaged: every non-solo pop was deferred

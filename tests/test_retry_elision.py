@@ -5,11 +5,17 @@ certified ``FetchRetry`` back-off chain is advanced by scheduler ticks
 instead of re-executed instructions, under the same strict bit-identity
 contract. The tests pin that contract from several angles:
 
-* PPA back-off delay identity at the interesting abort counts (0, 1,
-  the exponent knee at 6, the clamp at 7, and far past it at 100), and
-  end-to-end reject/abort identity on a constrained-TX point;
-* certification: the chain never arms (and never parks) when the
-  watched line's exclusive owner changes mid-backoff;
+* PPA delay identity at the interesting abort counts (0, 1, the
+  exponent knee at 6, the clamp at 7, and far past it at 100) — the
+  millicode's abort back-off, which retry parking never elides (a
+  ``FetchRetry`` waits ``probe - l1_hit``, the line's busy window or
+  the reject latency, and draws no RNG) — and end-to-end reject/abort
+  identity on a constrained-TX point;
+* certification: a chain parks at its first busy or stiff-armed try
+  whose step made exactly one fetch, never at a probe raise or a
+  multi-fetch step, and never while a refusal applies; a parked chain
+  stays parked when the line's owner changes, and the run still equals
+  the elision-off run;
 * the parked-deadlock diagnostic names a retry waiter's watched block;
 * pinned bit-identity on coarse/fine/rwlock 48-CPU points, serial and
   through the parallel runner, with elision on and off
@@ -23,16 +29,18 @@ contract. The tests pin that contract from several angles:
 from __future__ import annotations
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
 from repro.bench.figures import UpdateExperiment, run_update_experiment
 from repro.bench.parallel import run_tasks
+from repro.core.engine import RetryPark
 from repro.core.ppa import PpaAssist
 from repro.cpu.assembler import assemble
-from repro.cpu.isa import HALT
+from repro.cpu.interpreter import IsaCpu
+from repro.cpu.isa import AHI, HALT, JNZ, LG, LHI, STG, TBEGIN, TEND, Mem
 from repro.errors import MachineStateError
+from repro.mem.memory import PAGE_SHIFT
 from repro.mem.xi import WATCH_BLOCK_MASK
 from repro.params import ZEC12
 from repro.sim.machine import Machine
@@ -72,16 +80,21 @@ RETIRED_QUEUE_COUNTERS = ("calendar_resizes", "bucket_max_occupancy",
 #: count what the simulated machine did (events pushed, chains parked,
 #: placeholder advances), not how the event queue stored it.
 PINNED_SCHED_48CPU = [
-    {"events": 236422, "parks": 1537, "wakes": 1537, "retry_parks": 1452,
-     "retry_wakes": 1452, "retry_ticks": 45269, "spin_steps": 178962,
-     "heap_elides": 923, "heap_elided_steps": 1856, "broadcast_stops": 0},
-    {"events": 2632, "parks": 0, "wakes": 0, "retry_parks": 7,
-     "retry_wakes": 7, "retry_ticks": 6, "spin_steps": 0,
+    {"events": 236423, "parks": 1537, "wakes": 1537, "retry_parks": 1468,
+     "retry_wakes": 1468, "retry_ticks": 47772, "spin_steps": 178962,
+     "heap_elides": 923, "heap_elided_steps": 1855, "broadcast_stops": 0},
+    {"events": 2632, "parks": 0, "wakes": 0, "retry_parks": 8,
+     "retry_wakes": 8, "retry_ticks": 8, "spin_steps": 0,
      "heap_elides": 15, "heap_elided_steps": 72, "broadcast_stops": 0},
-    {"events": 8842, "parks": 0, "wakes": 0, "retry_parks": 41,
-     "retry_wakes": 41, "retry_ticks": 141, "spin_steps": 0,
-     "heap_elides": 856, "heap_elided_steps": 3039, "broadcast_stops": 0},
+    {"events": 8844, "parks": 0, "wakes": 0, "retry_parks": 156,
+     "retry_wakes": 156, "retry_ticks": 6786, "spin_steps": 0,
+     "heap_elides": 854, "heap_elided_steps": 3037, "broadcast_stops": 0},
 ]
+
+#: ``events + heap_elided_steps`` of the same runs. Where a chain parks
+#: moves single steps between the two counters (a parked raise's
+#: successor is a queued tick, not a heap-elided step), never their sum.
+PINNED_EVENT_SUM_48CPU = [238278, 2704, 11881]
 
 
 def _summary(result):
@@ -161,74 +174,203 @@ class TestTransactionalRetryParking:
 
 
 class TestRetryCertification:
-    def _cpu_with_owned_line(self, owner):
+    """The raise-time rule of ``IsaCpu._retry_note``."""
+
+    LINE = 0x8000
+
+    def _armed_cpu(self):
         # spin_elide=True (not the env default) so the white-box checks
         # below behave the same in a REPRO_SPIN_ELIDE=0 run of the suite.
         machine = Machine(ZEC12.with_cpus(4), spin_elide=True)
         cpu = machine.add_program(assemble([HALT()]))
         cpu.configure_spin_elide(True)
-        line = 0x8000
-        cpu.engine.fabric._lines[line] = SimpleNamespace(ex_owner=owner)
-        return cpu, line
+        return cpu
 
-    def _note_try_raise(self, cpu, ia, line):
-        """Mimic step()'s bookkeeping around a busy/reject FetchRetry
-        raise: snapshot the fetch counter at entry, count the one fetch
-        the try step performs, then run the raise-time hook."""
+    def _raise(self, cpu, fetches=1, fetch_wait=None):
+        """Mimic step()'s bookkeeping around a FetchRetry raise for
+        ``LINE``: ``fetches`` fetches since the step's entry snapshot,
+        and ``_fetch_wait`` as the raise left it (clear after a busy or
+        reject try, armed after a probe). Returns whether it parks."""
         fabric = cpu.engine.fabric
-        cpu._retry_fetch0 = fabric.stats_fetches
-        fabric.stats_fetches += 1
-        cpu.engine._fetch_wait = None
-        cpu._retry_note(ia, (line, True))
+        fetch0 = fabric.stats_fetches
+        fabric.stats_fetches += fetches
+        cpu.engine._fetch_wait = fetch_wait
+        return cpu._retry_note((self.LINE, True), fetch0)
 
-    def test_owner_change_between_raises_restarts(self):
-        cpu, line = self._cpu_with_owned_line(owner=1)
-        self._note_try_raise(cpu, 0x100, line)
-        assert cpu._retry_trk == (0x100, line, True, 1)
-        assert not cpu._retry_armed
-        # The owner moves mid-backoff — the quantity the chain is
-        # waiting out changed, so certification restarts from owner 2
-        # instead of arming.
-        cpu.engine.fabric._lines[line].ex_owner = 2
-        self._note_try_raise(cpu, 0x100, line)
-        assert not cpu._retry_armed
-        assert cpu._retry_trk == (0x100, line, True, 2)
+    def _not_parked(self, cpu):
+        return (cpu._retry_rec is None
+                and cpu.engine.fabric.watches.retry_by_cpu == {})
 
-    def test_owner_change_before_park_point_blocks(self):
-        cpu, line = self._cpu_with_owned_line(owner=1)
-        self._note_try_raise(cpu, 0x100, line)
-        self._note_try_raise(cpu, 0x100, line)
-        assert cpu._retry_armed
-        # Armed, but the owner moves before the park point: the re-check
-        # must refuse to park and drop the certificate.
-        cpu.engine.fabric._lines[line].ex_owner = 3
-        assert not cpu._retry_try_park(cpu._retry_trk)
-        assert cpu._retry_trk is None
-        assert cpu.engine.fabric.watches.retry_by_cpu == {}
-
-    def test_stable_owner_parks_and_registers_watch(self):
-        cpu, line = self._cpu_with_owned_line(owner=1)
-        self._note_try_raise(cpu, 0x100, line)
-        self._note_try_raise(cpu, 0x100, line)
-        assert cpu._retry_armed
-        assert cpu._retry_try_park(cpu._retry_trk)
+    def test_try_raise_parks_and_registers_watch(self):
+        cpu = self._armed_cpu()
+        assert self._raise(cpu)
+        assert cpu._retry_rec.key == (self.LINE, True)
         assert cpu.engine.fabric.watches.retry_by_cpu[0] == (
-            line, line & WATCH_BLOCK_MASK
+            self.LINE, self.LINE & WATCH_BLOCK_MASK
         )
         cpu.retry_unpark()
-        assert cpu.engine.fabric.watches.retry_by_cpu == {}
+        assert self._not_parked(cpu)
 
-    def test_multi_line_fingerprint_blocks_arming(self):
-        # Two fetches between entry and raise (a multi-line operation
-        # replaying an L1 hit every retry): the fingerprint must not arm.
-        cpu, line = self._cpu_with_owned_line(owner=1)
-        self._note_try_raise(cpu, 0x100, line)
+    @pytest.mark.parametrize("fetches", [0, 1])
+    def test_probe_raise_does_not_park(self, fetches):
+        # The try after a probe may succeed at once. A probe raise with
+        # one fetch is a two-line operation whose leading line hit.
+        cpu = self._armed_cpu()
+        assert not self._raise(cpu, fetches=fetches,
+                               fetch_wait=(self.LINE, True))
+        assert self._not_parked(cpu)
+
+    def test_two_fetch_step_does_not_park(self):
+        # A multi-line operation replays its leading L1-hit fetch every
+        # retry step, which the ticks do not emulate.
+        cpu = self._armed_cpu()
+        assert not self._raise(cpu, fetches=2)
+        assert self._not_parked(cpu)
+
+    REFUSALS = {
+        "pending_abort": lambda cpu: setattr(
+            cpu.engine, "pending_abort", object()),
+        "solo_requested": lambda cpu: setattr(
+            cpu.engine, "solo_requested", True),
+        "stopped_by_broadcast": lambda cpu: setattr(
+            cpu.engine, "stopped_by_broadcast", True),
+        "page_missing": lambda cpu: cpu.engine._page_missing.add(0x10),
+        "per_ifetch": lambda cpu: setattr(
+            cpu.engine.per, "ifetch_range", (0, 0x1000)),
+        "per_branch": lambda cpu: setattr(
+            cpu.engine.per, "branch_range", (0, 0x1000)),
+    }
+
+    @pytest.mark.parametrize("refusal", sorted(REFUSALS))
+    def test_refusal_blocks_parking(self, refusal):
+        cpu = self._armed_cpu()
+        self.REFUSALS[refusal](cpu)
+        assert not self._raise(cpu)
+        assert self._not_parked(cpu)
+
+    def test_step_parks_at_first_busy_try(self):
+        # A real load of a line in CPU 1's transfer window: the first
+        # step's probe raise backs off without parking, the second
+        # step's busy try parks, carrying its own delay (the rest of the
+        # window) for the scheduler to apply.
+        machine = Machine(ZEC12.with_cpus(4), spin_elide=True)
+        cpu = machine.add_program(assemble([LG(1, Mem(disp=self.LINE)),
+                                            HALT()]))
+        machine.add_program(assemble([HALT()]))
+        cpu.configure_spin_elide(True)
         fabric = cpu.engine.fabric
-        cpu._retry_fetch0 = fabric.stats_fetches
-        fabric.stats_fetches += 2
-        cpu.engine._fetch_wait = None
-        cpu._retry_note(0x100, (line, True))
-        assert not cpu._retry_armed
+        assert fabric.try_fetch(1, self.LINE, True).done
+        busy_until = fabric._lines[self.LINE].busy_until
+        assert cpu.step() > 0
+        assert cpu.engine._fetch_wait == (self.LINE, False)
+        assert self._not_parked(cpu)
+        with pytest.raises(RetryPark) as park:
+            cpu.step()
+        assert park.value.delay == busy_until - fabric.clock()
+        assert park.value.rec is cpu._retry_rec
+        assert cpu.stats_instructions == 0
+
+
+def _tbeginc_8_machine(spin_elide):
+    """A contended TBEGINC 8-CPU point whose lines change exclusive
+    owner while back-off chains wait on them."""
+    machine = Machine(ZEC12.with_cpus(8), spin_elide=spin_elide)
+    program = build_update_program("tbeginc", PoolLayout(10), n_vars=4,
+                                   iterations=5)
+    for _ in range(8):
+        machine.add_program(program)
+    return machine
+
+
+def _nonzero_bytes(memory):
+    """Final memory as ``{address: byte}`` of its non-zero bytes."""
+    return {
+        (page << PAGE_SHIFT) + offset: byte
+        for page, data in memory._pages.items()
+        for offset, byte in enumerate(data) if byte
+    }
+
+
+class TestOwnerChangeWhileParked:
+    def test_chain_stays_parked_across_owner_change(self, monkeypatch):
+        # No owner condition guards the park: a parked chain's ticks
+        # re-read the owner live, so it stays parked while the line
+        # passes from one stiff-arming owner to another, and the run
+        # equals the elision-off run in results and final memory.
+        owners = {}
+        tick = Scheduler._retry_tick
+
+        def watching_tick(self, rec, time):
+            info = rec.lines.get(rec.line)
+            if info is not None and info.ex_owner not in (-1, rec.cpu):
+                owners.setdefault(id(rec), set()).add(info.ex_owner)
+            return tick(self, rec, time)
+
+        monkeypatch.setattr(Scheduler, "_retry_tick", watching_tick)
+        runs = []
+        for elide in (True, False):
+            machine = _tbeginc_8_machine(elide)
+            result = machine.run()
+            runs.append((result, _nonzero_bytes(machine.memory)))
+            machine.close()
+        (parked, parked_mem), (plain, plain_mem) = runs
+        assert any(len(seen) > 1 for seen in owners.values())
+        assert parked.sched["retry_parks"] > 0
+        assert plain.sched["retry_parks"] == 0
+        assert parked == plain
+        assert parked_mem == plain_mem
+
+
+def _straddle_machine(spin_elide):
+    """CPU 0 loads a doubleword straddling lines A and B after caching A;
+    CPU 1 holds B in a transaction; CPU 2 stores to A while CPU 0's
+    fetch of B is still being turned away."""
+    line_a, line_b = 0x10000, 0x10100
+
+    def delay(count, label="d"):
+        return [LHI(9, count), (label, AHI(9, -1)), JNZ(label)]
+
+    machine = Machine(ZEC12.with_cpus(4), spin_elide=spin_elide)
+    machine.add_program(assemble(
+        [LG(1, Mem(disp=line_a))] + delay(60)
+        + [LG(2, Mem(disp=line_b - 4)), HALT()]))
+    machine.add_program(assemble(
+        delay(5) + [("t", TBEGIN()), JNZ("t"), LHI(3, 5),
+                    STG(3, Mem(disp=line_b))]
+        + delay(600, "h") + [TEND(), HALT()]))
+    machine.add_program(assemble(
+        delay(150) + [LHI(4, 7), STG(4, Mem(disp=line_a)), HALT()]))
+    return machine, line_b
+
+
+class TestMultiLineOperations:
+    def test_straddling_load_never_parks(self, monkeypatch):
+        # Every re-execution of the straddling load re-fetches line A
+        # before B, and once CPU 2's store has taken A away that fetch
+        # misses; ticks model only B's fetch. So the chain must park
+        # neither at its probe raise (one fetch: A's hit) nor at its try
+        # raise (two fetches), and the run must equal the elision-off
+        # run.
+        notes = []
+        note = IsaCpu._retry_note
+
+        def watching_note(self, info, fetch0):
+            parks = note(self, info, fetch0)
+            notes.append((self.cpu_id, info and info[0], parks))
+            return parks
+
+        monkeypatch.setattr(IsaCpu, "_retry_note", watching_note)
+        machine, line_b = _straddle_machine(True)
+        elided = machine.run()
+        machine.close()
+        machine, _ = _straddle_machine(False)
+        plain = machine.run()
+        machine.close()
+        assert elided == plain
+        straddle = [parks for cpu, line, parks in notes
+                    if cpu == 0 and line == line_b]
+        assert len(straddle) > 2
+        assert not any(straddle)
 
 
 class TestDeadlockDiagnostic:
@@ -260,14 +402,17 @@ class TestPinnedBitIdentity:
             assert key not in result.sched
 
     @pytest.mark.parametrize(
-        "experiment,counters",
-        [(e, c) for (e, _), c in zip(PINNED_48CPU, PINNED_SCHED_48CPU)],
+        "experiment,counters,total",
+        [(e, c, t) for (e, _), c, t in zip(
+            PINNED_48CPU, PINNED_SCHED_48CPU, PINNED_EVENT_SUM_48CPU)],
         ids=IDS,
     )
-    def test_sched_counters(self, experiment, counters, monkeypatch):
+    def test_sched_counters(self, experiment, counters, total,
+                            monkeypatch):
         monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         sched = run_update_experiment(experiment).sched
         assert {key: sched[key] for key in counters} == counters
+        assert sched["events"] + sched["heap_elided_steps"] == total
 
     @pytest.mark.parametrize("elide,heap", MODES, ids=MODE_IDS)
     def test_parallel(self, elide, heap, monkeypatch):

@@ -214,16 +214,17 @@ class TestScheduler:
 
     def test_retry_parked_stm_committer_wakes_under_broadcast_stop(self):
         # b is a software (STM) committer holding orecs, so its events
-        # are exempt from a's broadcast-stop. Its first step parks it on
-        # a retry chain while a holds the token; the parked event must
-        # wake b and run for real rather than advance as a placeholder.
-        a = FakeDriver([1, 1])
+        # are exempt from a's broadcast-stop. Its first step's raise
+        # parks it on a retry chain while a holds the token; the parked
+        # event, due after the raise's delay, must wake b and run for
+        # real rather than advance as a placeholder.
+        a = FakeDriver([5, 1])
         a.engine.solo_requested = True
         b_engine = FakeEngine()
         b_engine.pending_abort = None
         b_engine.stm = SimpleNamespace(commit_holds_locks=True)
         rec = SimpleNamespace(is_retry=True, engine=b_engine, ticks=0)
-        b = FakeDriver([RetryPark(rec), 3], engine=b_engine)
+        b = FakeDriver([RetryPark(rec, 2), 3], engine=b_engine)
         unparks = []
         b.retry_unpark = lambda: unparks.append(scheduler.now)
         real_steps = []
@@ -240,11 +241,34 @@ class TestScheduler:
         assert scheduler.stats_retry_parks == 1
         assert scheduler.stats_retry_wakes == 1
         assert len(unparks) == 1
-        # The parking step, then the same event at t=0 run for real while
-        # b is still broadcast-stopped.
-        assert real_steps == [(0, True), (0, True)]
+        # The raising step at t=0, then its successor event at t=0+2 run
+        # for real while b is still broadcast-stopped (a holds the token
+        # until t=5).
+        assert real_steps == [(0, True), (2, True)]
         assert not scheduler._parked
-        assert scheduler.now == 3
+        assert scheduler.now == 6
+
+    def test_retry_park_delay_is_perturbed_like_a_fetch_retry(self):
+        # The parking raise's delay goes through the jitter hook exactly
+        # as a FetchRetry's would: the parked chain's first event is due
+        # at the perturbed time, and its pop ticks the chain.
+        engine = FakeEngine()
+        rec = SimpleNamespace(is_retry=True, engine=engine, ticks=0)
+        driver = FakeDriver([RetryPark(rec, 10), 1], engine=engine)
+        scheduler = Scheduler([driver])
+        scheduler.perturb = lambda index, latency: latency + 7
+        ticks = []
+
+        def tick(rec, time):
+            ticks.append(time)
+            return -1  # the pending fetch would succeed: wake
+
+        scheduler._retry_tick = tick
+        driver.retry_unpark = lambda: None
+        scheduler.run()
+        assert ticks == [17]
+        assert scheduler.stats_retry_parks == scheduler.stats_retry_wakes == 1
+        assert driver.done
 
 
 class TestMachine:
