@@ -56,13 +56,11 @@ def main() -> int:
     print("scheduler: "
           + ", ".join(f"{key}={sched.get(key, 0)}"
                       for key in ("parks", "wakes", "retry_parks",
-                                  "retry_wakes", "heap_elides",
-                                  "heap_elided_steps", "pushpop_fusions",
+                                  "retry_wakes", "pushpop_fusions",
                                   "broadcast_stops")))
     # Event composition: ``events`` counts every scheduled event. Plain
     # steps and parked-retry ticks pass through the queue; parked-spin
-    # steps never do — the scheduler counts them in closed form at wake
-    # (heap-elided steps are not events at all).
+    # steps never do — the scheduler counts them in closed form at wake.
     events = sched.get("events", 0)
     retry_ticks = sched.get("retry_ticks", 0)
     spin_steps = sched.get("spin_steps", 0)

@@ -126,12 +126,14 @@ def result_from_payload(payload: Dict[str, Any]) -> Any:
 #: *resolved* fallback mode; v7: virtual sequence numbering — keys carry
 #: the resolved scheduler mode; v8: one materialized event path — the
 #: mode and the queue-implementation counters are gone from keys and the
+#: ``SimResult.sched`` block; v9: no heap elision — the
+#: ``heap_elides``/``heap_elided_steps`` counters are gone from the
 #: ``SimResult.sched`` block).
 #: Bumped whenever the stored-result format or the memory/store-cache
 #: semantics change in a way the source hash alone should not be trusted
 #: to catch (e.g. a rename-only refactor that keeps byte-identical
 #: sources elsewhere, or an external cache shared across checkouts).
-DATA_PLANE_VERSION = 8
+DATA_PLANE_VERSION = 9
 
 _CODE_VERSION: Optional[str] = None
 

@@ -210,8 +210,6 @@ class Machine:
                 "retry_ticks": sched.stats_retry_ticks,
                 "spin_steps": sched.stats_spin_steps,
                 "events": sched.stats_events,
-                "heap_elides": sched.stats_heap_elides,
-                "heap_elided_steps": sched.stats_heap_elided_steps,
                 "pushpop_fusions": sched.stats_pushpop_fusions,
                 "broadcast_stops": sched.stats_broadcast_stops,
             },

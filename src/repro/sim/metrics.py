@@ -434,7 +434,6 @@ def _empty_hist_dict() -> Dict[str, Any]:
 #: Scheduler self-observability counters surfaced in ``totals["scheduler"]``.
 _SCHED_KEYS = ("parks", "wakes", "retry_parks", "retry_wakes",
                "retry_ticks", "spin_steps", "events",
-               "heap_elides", "heap_elided_steps",
                "pushpop_fusions", "broadcast_stops")
 
 

@@ -58,14 +58,14 @@ class SimResult:
     )
     #: Scheduler self-observability counters: ``events`` (every queue
     #: push, plus one per parked spinner step, which is counted in
-    #: closed form instead of queued), ``parks``/``wakes`` and
-    #: ``spin_steps`` for parked spinners, ``retry_parks``/
-    #: ``retry_wakes`` and ``retry_ticks`` for parked retry waiters,
-    #: ``heap_elides``/``heap_elided_steps``, ``pushpop_fusions`` (queue
-    #: pushes fused with the next pop: plain steps' and retry ticks'
-    #: pushes only) and ``broadcast_stops``. Not part of the architected
-    #: result — spin-wait elision changes them while leaving everything
-    #: the equality above compares bit-identical.
+    #: closed form instead of queued; the same with parking on and
+    #: off), ``parks``/``wakes`` and ``spin_steps`` for parked spinners,
+    #: ``retry_parks``/``retry_wakes`` and ``retry_ticks`` for parked
+    #: retry waiters, ``pushpop_fusions`` (queue pushes fused with the
+    #: next pop: plain steps' and retry ticks' pushes only) and
+    #: ``broadcast_stops``. Not part of the architected result — spin-wait
+    #: elision changes them while leaving everything the equality above
+    #: compares bit-identical.
     sched: Optional[Dict[str, int]] = field(
         default=None, compare=False, repr=False
     )

@@ -59,14 +59,10 @@ times coincide from park onward (the same time pattern: same period,
 same phase) keep the order fixed when the later one parked, recorded as
 an ordinal in their lockstep group.
 
-Heap elision (stepping a CPU in a tight loop while its next deadline
-precedes every queued event) must still stop at a parked spinner's
-pending event, which is read from a per-period table of the parked
-chains' phases (:meth:`Scheduler._spin_top`). Event counts are
-therefore the same as if every placeholder were pushed: ``stats_events``
-counts each elided spinner step as the push it stands for. With parking
-off a spinner's own steps may heap-elide instead, so what is invariant
-between parking on and off is ``events + heap_elided_steps``.
+Every event that is not a parked spinner's is pushed and popped, so
+``Scheduler._pop_time``/``_pop_key`` always name the event being
+processed. ``stats_events`` counts each parked spinner step as the push
+it stands for, so it is the same with parking on and off.
 
 While the broadcast-stop machinery is engaged, no spinner is parked:
 engaging it materializes every parked chain, and the drivers refuse to
@@ -75,7 +71,7 @@ park while it lasts.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush, heappushpop
 from itertools import accumulate
 from typing import List, Optional, Tuple
@@ -143,8 +139,8 @@ class _SpinChain:
     """
 
     __slots__ = ("index", "log", "count", "period", "origin", "prefix",
-                 "g_park", "g0", "t0", "n0", "key0", "known_g", "known_n",
-                 "q", "phases", "group", "ordinal", "g_end")
+                 "g_park", "g0", "t0", "n0", "key0",
+                 "q", "group", "ordinal", "g_end")
 
     def __init__(self, index: int, log: _OrderLog, prefix: List[int],
                  pattern: Tuple[int, tuple], g0: int, t0: int, n0: int,
@@ -159,17 +155,12 @@ class _SpinChain:
         self.t0 = t0
         self.n0 = n0
         self.key0 = key0
-        #: The latest event whose ``N`` is known (``N`` is final once the
-        #: event's predecessor has popped, and every query comes after
-        #: that), so walks back stop there.
-        self.known_g = g0 + 1
-        self.known_n = n0
         #: Lockstep group: the time pattern (see :func:`_time_pattern`);
         #: chains with equal patterns have coinciding event times. The
         #: ordinal is the fixed tie order within the group (see
         #: ``Scheduler._join_group``).
         self.group = pattern
-        self.q, self.phases = pattern
+        self.q = pattern[0]
         self.ordinal = (0,)
         #: The materialized event, once woken (None while parked).
         self.g_end: Optional[int] = None
@@ -218,19 +209,12 @@ def _pushes_before(chain: _SpinChain, g: int) -> int:
     pop of an earlier cycle, and the pops of its own cycle that rank
     below it. Only in the second case is event ``g - 1``'s own rank (and
     so its ``N``) needed; the walk back stops at the first predecessor
-    whose cycle has no logged pop, at the latest known ``N`` or at the
-    anchor. (A CPU whose heap-elided run breaks at every spinner event
-    logs a pop in each of the chain's cycles, so without the known ``N``
-    each query would walk back to the anchor.)
+    whose cycle has no logged pop or at the anchor, which pruning keeps
+    recent (:meth:`Scheduler._reanchor`).
     """
     log = chain.log
-    top = g
-    known_g = chain.known_g
     stack = []
     while True:
-        if g == known_g:
-            n = chain.known_n
-            break
         gp = g - 1
         if gp == chain.g0:
             n = chain.n0
@@ -249,9 +233,6 @@ def _pushes_before(chain: _SpinChain, g: int) -> int:
         while k < hi and _key_lt(keys[k], pred):
             k += 1
         n = log.base + k
-    if top > known_g:
-        chain.known_g = top
-        chain.known_n = n
     return n
 
 
@@ -368,9 +349,6 @@ class Scheduler:
         self._parked: dict = {}
         #: Parked spinners' chains (index -> :class:`_SpinChain`).
         self._chains: dict = {}
-        #: Period -> ``(phases, chains by phase)`` of the parked chains:
-        #: the sorted phases in use and the chains at each.
-        self._phase_table: dict = {}
         #: Time pattern -> live chains of that lockstep group, in their
         #: fixed tie order.
         self._groups: dict = {}
@@ -403,8 +381,6 @@ class Scheduler:
         #: Parked-spin placeholder events counted in closed form (ditto;
         #: these are whole elided instructions).
         self.stats_spin_steps = 0
-        self.stats_heap_elides = 0
-        self.stats_heap_elided_steps = 0
         self.stats_pushpop_fusions = 0
         #: CPUs with an outstanding broadcast-stop request, maintained
         #: incrementally: engines request solo only during their own
@@ -549,121 +525,69 @@ class Scheduler:
                     # locks. Lock release is bounded work (validate,
                     # write back, release), after which the stop flag
                     # holds the CPU before it starts anything new.
-            # Heap-eliding fast loop. While this driver's next deadline
-            # strictly precedes every queued event and every parked
-            # spinner's pending one, re-pushing and popping it would hand
-            # the CPU straight back — so step it in a tight local loop
-            # instead. Strict comparison is required: at equal times the
-            # queued event carries the smaller sequence number and must
-            # run first. The loop is left (falling back to the queue) the
-            # moment any cross-CPU machinery could engage: the driver
-            # finishing, a broadcast-stop request or deferral appearing,
-            # or the next deadline reaching another CPU's event.
             rec = parked_get(index) if parked else None
             if rec is None:
-                engine = driver.engine
-                elide_steps = 0
-                # Read after the first step (which may wake a spinner
-                # and queue its pending event); only the scheduler and
-                # wakes push, so it then stays valid while this driver
-                # steps: a wake's event is never due before it.
-                top_time = -1
-                while True:
-                    if time > self.now:
-                        self.now = time
-                    if pre_step is not None:
-                        pre_step(index, self.now)
-                    try:
-                        latency = driver.step()
-                    except FetchRetry as retry:
-                        latency = retry.delay
-                    except SpinPark as park:
-                        # The driver certified a spin loop and parked
-                        # before executing its head; the chain starts
-                        # with this very event.
-                        parked[index] = rec = park.rec
-                        self._n_active -= 1
-                        self.stats_parks += 1
-                        break
-                    except RetryPark as park:
-                        # The step's try raised and the driver certified
-                        # the back-off chain: schedule its next event as
-                        # for the FetchRetry, and let that event's pops
-                        # tick the chain (_drain_parked).
-                        parked[index] = rec = park.rec
-                        self._n_active -= 1
-                        self._n_retry_parked += 1
-                        self.stats_retry_parks += 1
-                        latency = park.delay
-                        if perturb is not None:
-                            latency = perturb(index, latency)
-                        end = time + latency if latency > 0 else time
-                        break
-                    if perturb is not None:
-                        latency = perturb(index, latency)
-                    end = time + latency if latency > 0 else time
-                    if (
-                        driver.done
-                        or engine.solo_requested
-                        or solo_waiters
-                        or deferred
-                        or self._stop_applied_for != "idle"
-                    ):
-                        break
-                    if top_time < 0:
-                        top_time = queue[0][0] if queue else _NEVER
-                        if chains and end < top_time:
-                            spin = self._spin_top(end)
-                            if spin < top_time:
-                                top_time = spin
-                    if end >= top_time:
-                        break
-                    if end > limit_t:
-                        # Mirror of the pop-time budget check for the
-                        # event whose push was elided.
-                        if end > self._horizon:
-                            self._horizon = end
-                        return self._finish_budget(limit)
-                    time = end
-                    elide_steps += 1
-                if elide_steps:
-                    self.stats_heap_elides += 1
-                    self.stats_heap_elided_steps += elide_steps
-                if rec is None or rec.is_retry:
-                    if end > self._horizon:
-                        self._horizon = end
-                    if not driver.done:
-                        self._seq += 1
-                        item = (end, self._seq, index)
-                        log = self._log
-                        if log is not None:
-                            log.times.append(self._pop_time)
-                            log.keys.append(key)
-                            if len(log.times) > log.cap:
-                                self._prune_log()
-                        if engine.solo_requested:
-                            heappush(queue, item)
-                            solo_waiters.add(index)
-                            if chains:
-                                # Broadcast-stop engages: no spinner may
-                                # stay parked while it lasts.
-                                for parked_index in sorted(chains):
-                                    self.wake_parked(parked_index)
-                        elif queue and not deferred and not solo_waiters:
-                            # Nothing can run between this push and the
-                            # next pop, so fuse them; the popped event
-                            # still flows through the full solo/limit
-                            # checks above.
-                            event = heappushpop(queue, item)
-                            self.stats_pushpop_fusions += 1
-                        else:
-                            heappush(queue, item)
-                    else:
-                        self._n_active -= 1
-                    if deferred and self._solo_index() is None:
-                        self._flush_deferred()
+                if time > self.now:
+                    self.now = time
+                if pre_step is not None:
+                    pre_step(index, self.now)
+                try:
+                    latency = driver.step()
+                except FetchRetry as retry:
+                    latency = retry.delay
+                except SpinPark as park:
+                    # The driver certified a spin loop and parked before
+                    # executing its head; the chain starts with this very
+                    # event.
+                    parked[index] = park.rec
+                    self._n_active -= 1
+                    self.stats_parks += 1
+                    self._park_spinner(index, park.rec, time, key)
                     continue
-                self._park_spinner(index, rec, time, key)
+                except RetryPark as park:
+                    # The step's try raised and the driver certified the
+                    # back-off chain: schedule its next event as for the
+                    # FetchRetry, and let that event's pops tick the
+                    # chain (_drain_parked).
+                    parked[index] = park.rec
+                    self._n_active -= 1
+                    self._n_retry_parked += 1
+                    self.stats_retry_parks += 1
+                    latency = park.delay
+                if perturb is not None:
+                    latency = perturb(index, latency)
+                end = time + latency if latency > 0 else time
+                if end > self._horizon:
+                    self._horizon = end
+                if not driver.done:
+                    self._seq += 1
+                    item = (end, self._seq, index)
+                    log = self._log
+                    if log is not None:
+                        log.times.append(time)
+                        log.keys.append(key)
+                        if len(log.times) > log.cap:
+                            self._prune_log()
+                    if driver.engine.solo_requested:
+                        heappush(queue, item)
+                        solo_waiters.add(index)
+                        if chains:
+                            # Broadcast-stop engages: no spinner may stay
+                            # parked while it lasts.
+                            for parked_index in sorted(chains):
+                                self.wake_parked(parked_index)
+                    elif queue and not deferred and not solo_waiters:
+                        # Nothing can run between this push and the next
+                        # pop, so fuse them; the popped event still flows
+                        # through the full solo/limit checks above.
+                        event = heappushpop(queue, item)
+                        self.stats_pushpop_fusions += 1
+                    else:
+                        heappush(queue, item)
+                else:
+                    self._n_active -= 1
+                if deferred and self._solo_index() is None:
+                    self._flush_deferred()
                 continue
             # --- parked retry waiter ----------------------------------
             if solo_waiters or deferred or self._stop_applied_for != "idle":
@@ -890,7 +814,6 @@ class Scheduler:
         chain = _SpinChain(index, log, prefix, pattern, g0, time,
                            self._seq, key)
         self._join_group(chain)
-        self._add_phases(chain)
         self._chains[index] = chain
 
     def _join_group(self, chain: _SpinChain) -> None:
@@ -925,54 +848,6 @@ class Scheduler:
         members.insert(lo, chain)
         self._groups[pattern] = members
 
-    def _add_phases(self, chain: _SpinChain) -> None:
-        entry = self._phase_table.get(chain.q)
-        if entry is None:
-            entry = self._phase_table[chain.q] = ([], {})
-        phases, at = entry
-        for phase in chain.phases:
-            members = at.get(phase)
-            if members is None:
-                at[phase] = [chain]
-                insort(phases, phase)
-            else:
-                members.append(chain)
-
-    def _drop_phases(self, chain: _SpinChain) -> None:
-        q = chain.q
-        phases, at = self._phase_table[q]
-        for phase in chain.phases:
-            members = at[phase]
-            members.remove(chain)
-            if not members:
-                del at[phase]
-                del phases[bisect_left(phases, phase)]
-        if not phases:
-            del self._phase_table[q]
-
-    def _spin_top(self, end: int) -> int:
-        """The earliest pending event of any parked spinner, as seen
-        from the event being processed — or any parked spinner event
-        due by ``end``, when one is (the heap-elision loop only needs to
-        know it must stop)."""
-        now = self._pop_time
-        best = _NEVER
-        for q, (phases, _) in self._phase_table.items():
-            r = now % q
-            i = bisect_right(phases, r)
-            t = now - r + (phases[i] if i < len(phases) else q + phases[0])
-            if t < best:
-                best = t
-        if best <= end:
-            return best
-        # Nothing due strictly later by ``end``: is a chain event due now
-        # still pending?
-        for q, (_, at) in self._phase_table.items():
-            for chain in at.get(now % q, ()):
-                if chain._due(self._pending(chain)) == now:
-                    return now
-        return best
-
     def _pending(self, chain: _SpinChain) -> int:
         """The chain's first event not yet popped, as seen from the
         event being processed."""
@@ -988,7 +863,6 @@ class Scheduler:
         """Stop CPU ``index``'s chain before its event ``g``: fold the
         elided steps into its record."""
         chain = self._chains.pop(index)
-        self._drop_phases(chain)
         rec = self._parked[index]
         rec.steps = g - chain.g_park
         rec.pos = g % chain.count
@@ -1066,9 +940,6 @@ class Scheduler:
                 i = bisect_left(pops, time)
                 if i == len(pops) or pops[i] > time + span:
                     chain.n0 = _pushes_before(chain, g + 1)
-                    if chain.known_g <= g:
-                        chain.known_g = g + 1
-                        chain.known_n = chain.n0
                     chain.g0 = g
                     chain.t0 = time
                     chain.key0 = None

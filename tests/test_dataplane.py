@@ -1,9 +1,9 @@
 """Data-plane regression tests for the optimized simulator internals.
 
 The PR-3 data-plane overhaul (paged bytearray memory, line-indexed store
-forwarding, heap-eliding scheduler loop) must be *invisible* to the
-architecture: every simulation stays bit-identical to the dict-backed
-implementation. These tests pin the behaviours most at risk:
+forwarding) must be *invisible* to the architecture: every simulation
+stays bit-identical to the dict-backed implementation. These tests pin
+the behaviours most at risk:
 
 * loads that straddle cache lines, store-cache blocks and memory pages;
 * partial overlaps between store-queue / store-cache entries and a load;

@@ -19,9 +19,8 @@ contract. The tests pin that contract from several angles:
 * the parked-deadlock diagnostic names a retry waiter's watched block;
 * pinned bit-identity on coarse/fine/rwlock 48-CPU points, serial and
   through the parallel runner, with elision on and off
-  (``REPRO_SPIN_ELIDE``) and with the retired ``REPRO_HEAP_SCHED``
-  queue selector left set either way, plus the semantic scheduler
-  counters of the elided runs;
+  (``REPRO_SPIN_ELIDE``), plus the semantic scheduler counters of the
+  elided runs;
 * ``REPRO_CHECK=1`` differential replay, with and without schedule
   jitter (retry parking stays armed under jitter).
 """
@@ -62,39 +61,35 @@ PINNED_48CPU = [
 
 IDS = [f"{e.scheme}-{e.n_cpus}" for e, _ in PINNED_48CPU]
 
-#: The four environment combinations every pinned point must agree
-#: across: spin/retry elision on/off x the retired ``REPRO_HEAP_SCHED``
-#: selector set to its old calendar ("0") or heap ("1") value. The
-#: scheduler has a single heapq queue now, so the selector must be
-#: inert: a script that still exports it gets the same figures.
-MODES = [("1", "0"), ("1", "1"), ("0", "0"), ("0", "1")]
-MODE_IDS = ["elide-cal", "elide-heap", "plain-cal", "plain-heap"]
+#: The environments every pinned point must agree across: spin/retry
+#: elision on and off, over the scheduler's one heapq event queue.
+#: ``tests/test_virtseq.py`` checks that the retired queue selector
+#: ``REPRO_HEAP_SCHED`` stays inert.
+MODES = ["1", "0"]
+MODE_IDS = ["elide-heap", "plain-heap"]
 
-#: ``SimResult.sched`` keys of the deleted queue backends; no run may
-#: report them, whatever the environment says.
+#: ``SimResult.sched`` keys of the deleted queue backends and of the
+#: deleted heap elision; no run may report them, whatever the
+#: environment says.
 RETIRED_QUEUE_COUNTERS = ("calendar_resizes", "bucket_max_occupancy",
-                          "queue_switches")
+                          "queue_switches", "heap_elides",
+                          "heap_elided_steps")
 
 #: The semantic ``SimResult.sched`` counters of the elided runs of
 #: :data:`PINNED_48CPU`, pinned from the reference implementation. They
 #: count what the simulated machine did (events pushed, chains parked,
 #: placeholder advances), not how the event queue stored it.
 PINNED_SCHED_48CPU = [
-    {"events": 236423, "parks": 1537, "wakes": 1537, "retry_parks": 1468,
+    {"events": 238278, "parks": 1537, "wakes": 1537, "retry_parks": 1468,
      "retry_wakes": 1468, "retry_ticks": 47772, "spin_steps": 178962,
-     "heap_elides": 923, "heap_elided_steps": 1855, "broadcast_stops": 0},
-    {"events": 2632, "parks": 0, "wakes": 0, "retry_parks": 8,
+     "broadcast_stops": 0},
+    {"events": 2704, "parks": 0, "wakes": 0, "retry_parks": 8,
      "retry_wakes": 8, "retry_ticks": 8, "spin_steps": 0,
-     "heap_elides": 15, "heap_elided_steps": 72, "broadcast_stops": 0},
-    {"events": 8844, "parks": 0, "wakes": 0, "retry_parks": 156,
+     "broadcast_stops": 0},
+    {"events": 11881, "parks": 0, "wakes": 0, "retry_parks": 156,
      "retry_wakes": 156, "retry_ticks": 6786, "spin_steps": 0,
-     "heap_elides": 854, "heap_elided_steps": 3037, "broadcast_stops": 0},
+     "broadcast_stops": 0},
 ]
-
-#: ``events + heap_elided_steps`` of the same runs. Where a chain parks
-#: moves single steps between the two counters (a parked raise's
-#: successor is a queued tick, not a heap-elided step), never their sum.
-PINNED_EVENT_SUM_48CPU = [238278, 2704, 11881]
 
 
 def _summary(result):
@@ -390,10 +385,9 @@ class TestDeadlockDiagnostic:
 
 class TestPinnedBitIdentity:
     @pytest.mark.parametrize("experiment,pinned", PINNED_48CPU, ids=IDS)
-    @pytest.mark.parametrize("elide,heap", MODES, ids=MODE_IDS)
-    def test_serial(self, experiment, pinned, elide, heap, monkeypatch):
+    @pytest.mark.parametrize("elide", MODES, ids=MODE_IDS)
+    def test_serial(self, experiment, pinned, elide, monkeypatch):
         monkeypatch.setenv("REPRO_SPIN_ELIDE", elide)
-        monkeypatch.setenv("REPRO_HEAP_SCHED", heap)
         result = run_update_experiment(experiment)
         assert _summary(result) == pinned
         if elide == "0":
@@ -402,23 +396,19 @@ class TestPinnedBitIdentity:
             assert key not in result.sched
 
     @pytest.mark.parametrize(
-        "experiment,counters,total",
-        [(e, c, t) for (e, _), c, t in zip(
-            PINNED_48CPU, PINNED_SCHED_48CPU, PINNED_EVENT_SUM_48CPU)],
+        "experiment,counters",
+        [(e, c) for (e, _), c in zip(PINNED_48CPU, PINNED_SCHED_48CPU)],
         ids=IDS,
     )
-    def test_sched_counters(self, experiment, counters, total,
-                            monkeypatch):
+    def test_sched_counters(self, experiment, counters, monkeypatch):
         monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         sched = run_update_experiment(experiment).sched
         assert {key: sched[key] for key in counters} == counters
-        assert sched["events"] + sched["heap_elided_steps"] == total
 
-    @pytest.mark.parametrize("elide,heap", MODES, ids=MODE_IDS)
-    def test_parallel(self, elide, heap, monkeypatch):
+    @pytest.mark.parametrize("elide", MODES, ids=MODE_IDS)
+    def test_parallel(self, elide, monkeypatch):
         # Workers fork after the env change, so they inherit it.
         monkeypatch.setenv("REPRO_SPIN_ELIDE", elide)
-        monkeypatch.setenv("REPRO_HEAP_SCHED", heap)
         results = run_tasks(
             [("update", experiment) for experiment, _ in PINNED_48CPU],
             workers=2,

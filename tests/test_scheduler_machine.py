@@ -156,10 +156,10 @@ class TestScheduler:
         assert not scheduler._deferred
         assert not b.engine.stopped_by_broadcast
 
-    def test_solo_request_inside_heap_elided_run_stops_others(self):
-        # b's next event is far ahead, so a steps inline without touching
-        # the queue. A solo request raised by a's second step must still
-        # leave that loop, so the stop applies before a's third step.
+    def test_solo_request_mid_run_stops_others(self):
+        # b's next event is far ahead, so the queue hands a's events back
+        # one after another. A solo request raised by a's second step
+        # must apply the stop before a's third step.
         a = FakeDriver([1, 1, 1, 1, 1])
         b = FakeDriver([100, 1])
         seen_stopped = []

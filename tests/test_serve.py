@@ -211,8 +211,8 @@ class TestServiceDeterminism:
         assert replayed[1].sched["events"] > 0
         assert set(replayed[1].sched) == {
             "events", "parks", "wakes", "retry_parks", "retry_wakes",
-            "retry_ticks", "spin_steps", "heap_elides", "heap_elided_steps",
-            "pushpop_fusions", "broadcast_stops",
+            "retry_ticks", "spin_steps", "pushpop_fusions",
+            "broadcast_stops",
         }
 
     def test_metrics_and_plain_are_distinct_keys(self, tmp_path):

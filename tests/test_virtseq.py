@@ -2,9 +2,10 @@
 
 The scheduler once offered virtual sequence numbering (parked chains
 advanced off-queue, ``REPRO_VIRTSEQ``) and a choice of event queue
-(calendar or bare heap, ``REPRO_HEAP_SCHED``). Both are gone: parked
-spin and retry chains keep real placeholder events in one heapq queue.
-The contract under test is that the old switches are now inert — every
+(calendar or bare heap, ``REPRO_HEAP_SCHED``). Both are gone: the
+scheduler has one heapq queue, a parked retry chain keeps its pending
+event in it, and a parked spinner keeps none (its chain is counted in
+closed form). The contract under test is that the old switches are now inert — every
 pinned 48-CPU point produces the same figures whatever an old script
 exports for them, serial and parallel, no run reports the deleted
 counters, and the parked-deadlock diagnostic has no off-queue
@@ -144,8 +145,8 @@ class TestFlagMatrixIdentity:
 class TestDeadlockDiagnosticOffQueue:
     def test_diagnostic_without_off_queue_head(self):
         # A retry waiter and a spin waiter both stranded: the guard
-        # names each watched block in CPU order, and no head is ever
-        # marked off-queue since every parked chain keeps a real event.
+        # names each watched block in CPU order, and marks no head
+        # off-queue: the guard has no such annotation any more.
         machine = Machine(ZEC12.with_cpus(4))
         retry_cpu = machine.add_program(assemble([HALT()]))
         spin_cpu = machine.add_program(assemble([HALT()]))
