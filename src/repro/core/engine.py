@@ -106,7 +106,7 @@ class RetryPark(Exception):
     reject counters) until the fetch would succeed, at which point the
     CPU wakes and the pending event re-enters real execution unchanged.
     See :mod:`repro.cpu.interpreter` for the certification rules and
-    :meth:`repro.sim.scheduler.Scheduler._retry_tick` for the per-event
+    :meth:`repro.sim.scheduler.Scheduler._drain_parked` for the per-event
     advance."""
 
     def __init__(self, rec, delay: int) -> None:

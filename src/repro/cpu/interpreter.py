@@ -78,7 +78,8 @@ class _SpinCandidate:
     """
 
     __slots__ = ("head", "members", "load_ia", "load_disp", "load_base",
-                 "load_index", "cert_steps", "cert_snap", "cert_states")
+                 "load_index", "cert_steps", "cert_snap", "cert_states",
+                 "cert_layout")
 
     def __init__(self, head: int, members: frozenset, load_ia: int,
                  load_disp: int, load_base: Optional[int],
@@ -95,6 +96,9 @@ class _SpinCandidate:
         self.cert_steps: Optional[list] = None
         self.cert_snap: Optional[tuple] = None
         self.cert_states: Optional[list] = None
+        #: The certificate's unrotated iteration ``(ias, lats,
+        #: load_pos)``, built at its first park (``IsaCpu._try_park``).
+        self.cert_layout: Optional[tuple] = None
 
 
 class _SpinTracker:
@@ -145,12 +149,13 @@ class _ParkedSpin:
                  "count", "pos", "steps")
 
     def __init__(self, line: int, block: int, ias: List[int],
-                 lats: List[int], states: list, load_pos: int,
+                 lats: Tuple[int, ...], states: list, load_pos: int,
                  count: int) -> None:
         self.line = line
         self.block = block
         #: Unrotated iteration: ``ias[0]`` is the head; ``lats[j]`` is the
-        #: latency of instruction j (at least one cycle each).
+        #: latency of instruction j (at least one cycle each). Both are
+        #: shared with the loop's certificate and never mutated.
         self.ias = ias
         self.lats = lats
         #: ``states[j]`` is the (gr tuple, cc) at boundary j — the state
@@ -169,53 +174,41 @@ class _ParkedSpin:
 class _ParkedRetry:
     """Placeholder state for a parked ``FetchRetry`` back-off chain.
 
-    Built at the busy or stiff-armed try raise that parks the chain.
-    While parked, the CPU's event chain stays in the scheduler's queue —
-    each pop re-evaluates the probe/busy/stiff-arm decision of the
-    pending fetch against live fabric state (see
-    :meth:`repro.sim.scheduler.Scheduler._retry_tick`) instead of
+    One record per CPU, built at its first park and reset at each later
+    one (:meth:`IsaCpu._retry_try_park`). While parked, the CPU's event
+    chain stays in the scheduler's queue — each pop re-evaluates the
+    probe/busy/stiff-arm decision of the pending fetch against live
+    fabric state (see
+    :meth:`repro.sim.scheduler.Scheduler._drain_parked`) instead of
     re-executing the instruction. The chain's engine-visible effects
-    (fetch/reject counters, XI deliveries with their reject
-    accounting on the owner, the ``_fetch_wait`` arm/clear alternation)
-    are applied exactly as the real steps would, and the architected CPU
-    state is never touched (a retry step completes no instruction), so
-    the un-park needs no state restoration: the pending event simply
+    (fetch/reject counters, XI deliveries with their reject accounting
+    on the owner, the ``_fetch_wait`` arm/clear alternation) are applied
+    exactly as the real steps would, and the architected CPU state is
+    never touched (a retry step completes no instruction), so the
+    un-park needs no state restoration: the pending event simply
     re-enters real execution.
     """
 
     #: Scheduler dispatch flag (see :class:`_ParkedSpin`).
     is_retry = True
 
-    __slots__ = ("line", "block", "key", "exclusive", "xi_type", "engine",
-                 "cpu", "l1_hit", "l2_hit", "ticks", "fabric", "l1_entries",
-                 "l2_entries", "lines", "ports", "reject_lat")
+    __slots__ = ("line", "block", "key", "exclusive", "xi_type",
+                 "line_info", "engine", "cpu", "l1_entries", "l2_entries")
 
-    def __init__(self, engine: TxEngine, line: int, block: int,
-                 exclusive: bool) -> None:
+    def __init__(self, engine: TxEngine) -> None:
         self.engine = engine
-        self.line = line
-        self.block = block
-        self.key = (line, exclusive)
-        self.exclusive = exclusive
-        #: The XI an exclusive-owner conflict sends: exclusive fetches
-        #: invalidate, read-only fetches demote (fabric try_fetch).
-        self.xi_type = XiType.EXCLUSIVE if exclusive else XiType.DEMOTE
         self.cpu = engine.cpu_id
-        lat = engine.params.latencies
-        self.l1_hit = lat.l1_hit
-        self.l2_hit = lat.l2_hit
-        #: Retry events advanced while parked (observability only).
-        self.ticks = 0
-        # Stable references the per-tick hot path would otherwise chase
-        # through attribute chains on every event (all of these objects
-        # are mutated in place, never replaced).
-        fabric = engine.fabric
-        self.fabric = fabric
+        # Stable references the tick would otherwise chase through
+        # attribute chains on every event (these objects are mutated in
+        # place, never replaced).
         self.l1_entries = engine.l1.directory._entries
         self.l2_entries = engine.l2.directory._entries
-        self.lines = fabric._lines
-        self.ports = fabric._ports
-        self.reject_lat = fabric._outcome_reject.latency
+        # The pending fetch (``line``, ``block``, ``exclusive``), its
+        # ``_fetch_wait`` key ``(line, exclusive)``, the XI an
+        # exclusive-owner conflict sends (exclusive fetches invalidate,
+        # read-only fetches demote: fabric try_fetch) and the line's
+        # fabric ``line_info`` are set at each park. The parking try
+        # created that ``LineInfo``, and the fabric never replaces one.
 
 
 class IsaCpu:
@@ -283,6 +276,8 @@ class IsaCpu:
         self._fabric = engine.fabric
         #: :class:`_ParkedRetry` record while retry-parked.
         self._retry_rec: Optional[_ParkedRetry] = None
+        #: This CPU's reusable record (built at its first retry park).
+        self._retry_slot: Optional[_ParkedRetry] = None
         #: Address -> pre-decoded record (see :class:`_Decoded`). Its
         #: spin-elision fields stay None until elision first arms (see
         #: :meth:`_predecode_elision`).
@@ -614,6 +609,7 @@ class IsaCpu:
                 cand.cert_steps = cur
                 cand.cert_snap = sig
                 cand.cert_states = states
+                cand.cert_layout = None
                 sp.steps = cur
                 sp.park_ia = cur[0][0]
                 sp.park_states = states
@@ -644,20 +640,23 @@ class IsaCpu:
         ):
             return False
         cand = sp.cand
-        steps = sp.steps
-        n = len(steps)
-        # Unrotate: steps is [body..., head]; the executed iteration runs
-        # [head, body...].
-        ias = [cand.head]
-        lats = [steps[-1][1]]
-        for i in range(n - 1):
-            ias.append(steps[i][0])
-            lats.append(steps[i][1])
-        if min(lats) <= 0:
+        # An armed tracker's steps are always the candidate's certificate.
+        layout = cand.cert_layout
+        if layout is None:
+            steps = cand.cert_steps
+            # Unrotate: steps is [body..., head]; the executed iteration
+            # runs [head, body...].
+            ias = [cand.head] + [ia for ia, _ in steps[:-1]]
+            lats = (steps[-1][1], *[lat for _, lat in steps[:-1]])
             # The scheduler orders a parked chain's events by their
-            # predecessors' cycles, which must come strictly earlier.
+            # predecessors' cycles, which must come strictly earlier: a
+            # zero-latency step never parks (empty layout).
+            layout = cand.cert_layout = (
+                (ias, lats, ias.index(cand.load_ia)) if min(lats) > 0
+                else ())
+        if not layout:
             return False
-        load_pos = ias.index(cand.load_ia)
+        ias, lats, load_pos = layout
         # The load's effective address comes from the register state at
         # its own boundary (the loop may step address registers between
         # here and the load).
@@ -677,7 +676,7 @@ class IsaCpu:
             # certified latencies.
             return False
         rec = _ParkedSpin(
-            line, block, ias, lats, sp.park_states, load_pos, n,
+            line, block, ias, lats, sp.park_states, load_pos, len(ias),
         )
         # Parked at the instruction after the head: the head of the
         # certifying iteration has already executed.
@@ -769,10 +768,18 @@ class IsaCpu:
             or self._eng_per.branch_range is not None
         ):
             return False
+        rec = self._retry_slot
+        if rec is None:
+            rec = self._retry_slot = _ParkedRetry(engine)
         line, exclusive = info
-        rec = _ParkedRetry(engine, line, line & WATCH_BLOCK_MASK, exclusive)
+        rec.line = line
+        rec.block = block = line & WATCH_BLOCK_MASK
+        rec.key = info
+        rec.exclusive = exclusive
+        rec.xi_type = XiType.EXCLUSIVE if exclusive else XiType.DEMOTE
+        rec.line_info = self._fabric.line_info(line)
         self._retry_rec = rec
-        engine.add_retry_watch(rec.line, rec.block)
+        engine.add_retry_watch(line, block)
         return True
 
     def retry_unpark(self) -> None:

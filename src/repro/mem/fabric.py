@@ -26,7 +26,7 @@ from typing import Dict, List, Tuple
 
 from ..errors import ProtocolError
 from ..params import MachineParams
-from .line import LineInfo, Ownership
+from .line import LineInfo, Ownership, cpus_of
 from .shared import L3Cache, L4Cache
 from .xi import (
     WATCH_BLOCK_MASK,
@@ -94,7 +94,18 @@ class CpuPort:
 
 
 class CoherenceFabric:
-    """Directory-style coherence over all CPUs, L3s and L4s."""
+    """Directory-style coherence over all CPUs, L3s and L4s.
+
+    Ownership lives in one :class:`~repro.mem.line.LineInfo` per line:
+    the exclusive owner's CPU id, and the read-only owners as a bitmask
+    of CPU ids. Each CPU has a precomputed chip mask and MCM mask (its
+    own bit included), so the distance from a requester to the nearest
+    other read-only owner, which prices a probe and picks an
+    intervention source, is three mask tests (:meth:`_nearest_rank`),
+    and read-only XIs go out by walking the set bits in ascending CPU
+    order. :meth:`_miss_latency` is the probe past the private caches;
+    :meth:`probe_latency` and the scheduler's parked retry ticks share it.
+    """
 
     def __init__(self, params: MachineParams) -> None:
         self.params = params
@@ -132,25 +143,34 @@ class CoherenceFabric:
         ]
         self._l3_by_cpu = [self.l3s[self._chip_of_cpu[c]] for c in range(total)]
         self._l4_by_cpu = [self.l4s[self._mcm_of_cpu[c]] for c in range(total)]
-        #: Full distance matrices (rank: 0 chip, 1 mcm, 2 remote; and the
-        #: corresponding intervention latency). At most ~120x120 ints.
+        #: Per-CPU bitmasks of the CPUs on its chip and on its MCM (its
+        #: own bit included): owner distances are mask tests against
+        #: ``LineInfo.ro_owners`` (see :meth:`_nearest_rank`).
+        chip_masks = [0] * chips
+        mcm_masks = [0] * topo.mcms
+        for c in range(total):
+            chip_masks[self._chip_of_cpu[c]] |= 1 << c
+            mcm_masks[self._mcm_of_cpu[c]] |= 1 << c
+        self._chip_mask = [chip_masks[chip] for chip in self._chip_of_cpu]
+        self._mcm_mask = [mcm_masks[mcm] for mcm in self._mcm_of_cpu]
+        #: Intervention latency from each CPU to every CPU. A row depends
+        #: only on the requester's chip, so CPUs of one chip share it.
         lat_by_rank = (
             self.lat.on_chip_intervention,
             self.lat.same_mcm,
             self.lat.cross_mcm,
         )
-        self._rank_rows: List[List[int]] = []
-        self._dist_lat_rows: List[List[int]] = []
-        for a in range(total):
-            chip_a = self._chip_of_cpu[a]
-            mcm_a = self._mcm_of_cpu[a]
-            row = [
-                0 if self._chip_of_cpu[b] == chip_a
-                else (1 if self._mcm_of_cpu[b] == mcm_a else 2)
+        rows = []
+        for chip in range(chips):
+            mcm = self._mcm_of_chip[chip]
+            rows.append([
+                lat_by_rank[0 if self._chip_of_cpu[b] == chip
+                            else 1 if self._mcm_of_cpu[b] == mcm else 2]
                 for b in range(total)
-            ]
-            self._rank_rows.append(row)
-            self._dist_lat_rows.append([lat_by_rank[r] for r in row])
+            ])
+        self._dist_lat_rows: List[List[int]] = [
+            rows[chip] for chip in self._chip_of_cpu
+        ]
         #: Per-CPU shared-cache directories that drop their copy when the
         #: CPU takes a line exclusive: the L3s of the other chips and the
         #: L4s of the other MCMs.
@@ -270,10 +290,10 @@ class CoherenceFabric:
 
         # Read-only upgrade: we own it RO, need exclusive. Other RO owners
         # get (non-rejectable) read-only XIs.
-        if exclusive and cpu in info.ro_owners:
+        if exclusive and info.ro_owners >> cpu & 1:
             latency = lat.l1_hit if entry is not None else lat.l2_hit
             latency += self._invalidate_ro_owners(line, info, except_cpu=cpu)
-            info.ro_owners.discard(cpu)
+            info.ro_owners &= ~(1 << cpu)
             info.ex_owner = cpu
             self._set_private_state(port, line, Ownership.EXCLUSIVE)
             if self.watches.by_block:
@@ -314,7 +334,7 @@ class CoherenceFabric:
             if info.ex_owner == owner:
                 info.ex_owner = -1
                 if not exclusive:
-                    info.ro_owners.add(owner)
+                    info.ro_owners |= 1 << owner
             latency = lat.xi_round_trip + extra + self._dist_lat_rows[cpu][owner]
             source = "intervention"
         else:
@@ -328,7 +348,7 @@ class CoherenceFabric:
         info.busy_until = now + latency
         if exclusive:
             want = Ownership.EXCLUSIVE
-            info.ro_owners.discard(cpu)
+            info.ro_owners &= ~(1 << cpu)
             info.ex_owner = cpu
             # Stale copies leave the other chips' L3s and MCMs' L4s.
             for directory in self._purge_dirs_by_cpu[cpu]:
@@ -338,7 +358,7 @@ class CoherenceFabric:
                 self._wake_line_watchers(line)
         else:
             want = Ownership.READ_ONLY
-            info.ro_owners.add(cpu)
+            info.ro_owners |= 1 << cpu
         self._l3_by_cpu[cpu].install(line, self._l3_install_cbs[cpu])
         self._l4_by_cpu[cpu].install(line, self._l4_install_cbs[cpu])
         l2_dir.install(line, want, evict=self._l2_evict_cbs[cpu])
@@ -415,7 +435,7 @@ class CoherenceFabric:
         ):
             return lat.l1_hit
         info = self._lines.get(line)
-        if exclusive and info is not None and cpu in info.ro_owners:
+        if exclusive and info is not None and info.ro_owners >> cpu & 1:
             base = lat.l1_hit if entry is not None else lat.l2_hit
             return base + lat.xi_round_trip
         l2_entry = port.l2.directory._entries.get(line)
@@ -423,35 +443,46 @@ class CoherenceFabric:
             not exclusive or l2_entry.state is Ownership.EXCLUSIVE
         ):
             return lat.l2_hit
+        return self._miss_latency(cpu, line, exclusive, info)
+
+    def _miss_latency(self, cpu: int, line: int, exclusive: bool,
+                      info) -> int:
+        """The rest of :meth:`probe_latency` once neither private cache
+        serves the fetch and it is no read-only upgrade: the latency the
+        line's owners or the shared caches imply. ``info`` is the line's
+        :class:`LineInfo`, or None. The scheduler's parked retry ticks
+        call this directly (they have ruled out the other cases)."""
         if info is not None:
-            if info.ex_owner >= 0 and info.ex_owner != cpu:
-                return lat.xi_round_trip + self._dist_lat_rows[cpu][info.ex_owner]
-            if info.ro_owners:
-                nearest = self._nearest_rank(cpu, info.ro_owners)
+            owner = info.ex_owner
+            if owner >= 0 and owner != cpu:
+                return self.lat.xi_round_trip + self._dist_lat_rows[cpu][owner]
+            owners = info.ro_owners
+            if owners:
+                nearest = self._nearest_rank(cpu, owners)
                 if nearest < 3:
                     latency = self._intervention_sources[nearest][0]
                 else:
                     latency = self._shared_probe_latency(cpu, line)
                 # Exclusive: ``cpu`` is not among the owners (the upgrade
-                # case returned above), so every owner gets a read-only XI.
+                # case returned earlier), so every owner gets a read-only
+                # XI.
                 if exclusive:
-                    latency += lat.xi_round_trip
+                    latency += self.lat.xi_round_trip
                 return latency
         return self._shared_probe_latency(cpu, line)
 
-    def _nearest_rank(self, cpu: int, owners) -> int:
-        """Distance rank of the nearest owner other than ``cpu``: 0 same
-        chip, 1 same MCM, 2 remote MCM, 3 when ``cpu`` is the only one."""
-        row = self._rank_rows[cpu]
-        nearest = 3
-        for o in owners:
-            if o != cpu:
-                r = row[o]
-                if r < nearest:
-                    nearest = r
-                    if r == 0:
-                        break
-        return nearest
+    def _nearest_rank(self, cpu: int, owners: int) -> int:
+        """Distance rank of the nearest CPU in the ``owners`` mask other
+        than ``cpu``: 0 same chip, 1 same MCM, 2 remote MCM, 3 when
+        ``cpu`` is the only one."""
+        others = owners & ~(1 << cpu)
+        if not others:
+            return 3
+        if others & self._chip_mask[cpu]:
+            return 0
+        if others & self._mcm_mask[cpu]:
+            return 1
+        return 2
 
     def _shared_probe_latency(self, cpu: int, line: int) -> int:
         """Latency of the shared-cache tiers, without LRU touches."""
@@ -493,18 +524,17 @@ class CoherenceFabric:
         return response, extra
 
     def _invalidate_ro_owners(self, line: int, info: LineInfo, except_cpu: int) -> int:
-        """Send read-only XIs to every RO owner; returns added latency."""
-        latency = 0
-        owners = info.ro_owners
-        if len(owners) > 1 or (owners and except_cpu not in owners):
-            for owner in sorted(owners):
-                if owner == except_cpu:
-                    continue
-                self._send_xi(Xi(XiType.READ_ONLY, line, except_cpu, owner))
-                latency = self.lat.xi_round_trip  # overlapped, charge once
-            # Rebuilt from the set as it stands after delivery.
-            info.ro_owners = {o for o in info.ro_owners if o == except_cpu}
-        return latency
+        """Send read-only XIs to every RO owner but ``except_cpu``, in
+        ascending CPU order; returns added latency."""
+        keep = 1 << except_cpu
+        others = info.ro_owners & ~keep
+        if not others:
+            return 0
+        for owner in cpus_of(others):
+            self._send_xi(Xi(XiType.READ_ONLY, line, except_cpu, owner))
+        # Taken from the mask as it stands after delivery.
+        info.ro_owners &= keep
+        return self.lat.xi_round_trip  # overlapped, charge once
 
     # -- private-cache installation with eviction cascades ------------------------
 
@@ -520,7 +550,7 @@ class CoherenceFabric:
         # note_l2_eviction below performs the footprint-overflow check.
         port.l1.directory.remove(line)
         info = self.line_info(line)
-        info.ro_owners.discard(port.cpu_id)
+        info.ro_owners &= ~(1 << port.cpu_id)
         if info.ex_owner == port.cpu_id:
             info.ex_owner = -1
         port.note_l2_eviction(line)
@@ -529,9 +559,7 @@ class CoherenceFabric:
 
     def _lru_cascade_l3(self, cpu: int, victim: int) -> None:
         """An L3 eviction sends LRU XIs to the cores under that chip."""
-        chip = self._chip_of_cpu[cpu]
-        chip_of = self._chip_of_cpu
-        self._lru_xi_below(victim, lambda c: chip_of[c] == chip)
+        self._lru_xi_below(victim, self._chip_mask[cpu])
 
     def _lru_cascade_l4(self, cpu: int, victim: int) -> None:
         """An L4 eviction empties the MCM: L3s below and their cores."""
@@ -540,18 +568,20 @@ class CoherenceFabric:
         for l3 in self.l3s:
             if mcm_of_chip[l3.chip] == mcm:
                 l3.remove(victim)
-        mcm_of = self._mcm_of_cpu
-        self._lru_xi_below(victim, lambda c: mcm_of[c] == mcm)
+        self._lru_xi_below(victim, self._mcm_mask[cpu])
 
-    def _lru_xi_below(self, line: int, in_scope) -> None:
+    def _lru_xi_below(self, line: int, scope: int) -> None:
+        """LRU-XI every registered owner of ``line`` in the ``scope``
+        CPU mask, in ascending CPU order."""
         info = self._lines.get(line)
         if info is None:
             return
-        for owner in sorted(info.owners()):
-            if owner >= len(self._ports) or not in_scope(owner):
-                continue
+        owners = info.ro_owners
+        if info.ex_owner >= 0:
+            owners |= 1 << info.ex_owner
+        for owner in cpus_of(owners & scope & ((1 << len(self._ports)) - 1)):
             self._send_xi(Xi(XiType.LRU, line, -1, owner))
-            info.ro_owners.discard(owner)
+            info.ro_owners &= ~(1 << owner)
             if info.ex_owner == owner:
                 info.ex_owner = -1
 
@@ -600,6 +630,6 @@ class CoherenceFabric:
         port.l2.directory.remove(line)
         info = self._lines.get(line)
         if info is not None:
-            info.ro_owners.discard(cpu)
+            info.ro_owners &= ~(1 << cpu)
             if info.ex_owner == cpu:
                 info.ex_owner = -1

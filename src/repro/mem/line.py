@@ -69,17 +69,24 @@ class DirectoryEntry:
 
 
 class LineInfo:
-    """Fabric-level bookkeeping for one line address (who owns it where)."""
+    """Fabric-level bookkeeping for one line address (who owns it where).
+
+    ``ro_owners`` is a bitmask of CPU ids: bit ``c`` is set while CPU
+    ``c`` holds the line read-only. An int costs no allocation per line,
+    and the fabric answers "nearest other owner" with a few mask tests
+    (see :meth:`repro.mem.fabric.CoherenceFabric._nearest_rank`).
+    """
 
     __slots__ = ("ro_owners", "ex_owner", "busy_until")
 
     def __init__(
         self,
-        ro_owners: set = None,
+        ro_owners: int = 0,
         ex_owner: int = -1,
         busy_until: int = 0,
     ) -> None:
-        self.ro_owners = set() if ro_owners is None else ro_owners
+        #: Bitmask of the CPUs holding the line read-only.
+        self.ro_owners = ro_owners
         #: CPU id, or -1 when nobody owns it exclusively.
         self.ex_owner = ex_owner
         #: Simulated time until which the line is in flight on the
@@ -89,16 +96,28 @@ class LineInfo:
 
     def __repr__(self) -> str:
         return (
-            f"LineInfo(ro_owners={self.ro_owners}, "
+            f"LineInfo(ro_owners={sorted(self.ro_cpus())}, "
             f"ex_owner={self.ex_owner}, busy_until={self.busy_until})"
         )
 
+    def ro_cpus(self) -> set:
+        """The CPUs holding the line read-only."""
+        return set(cpus_of(self.ro_owners))
+
     def owners(self) -> set:
         """All CPUs holding the line in any valid state."""
-        result = set(self.ro_owners)
+        result = self.ro_cpus()
         if self.ex_owner >= 0:
             result.add(self.ex_owner)
         return result
 
     def is_unowned(self) -> bool:
         return self.ex_owner < 0 and not self.ro_owners
+
+
+def cpus_of(mask: int):
+    """The CPU ids whose bits are set in ``mask``, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

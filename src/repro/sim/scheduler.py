@@ -21,7 +21,7 @@ Three special behaviours:
   delay: the CPU's next event is scheduled exactly as for the
   ``FetchRetry`` and the chain parks, so that event and its successors
   re-evaluate the probe/busy/stiff-arm decision against live fabric
-  state (:meth:`Scheduler._retry_tick`) without re-executing the
+  state (:meth:`Scheduler._drain_parked`) without re-executing the
   instruction, until the fetch would succeed;
 * a :class:`~repro.core.engine.SpinPark` parks a certified spin loop,
   which leaves the queue altogether (see below);
@@ -85,6 +85,9 @@ from ..mem.xi import Xi, XiResponse
 #: cycle budget.
 _BUDGET = object()
 
+#: :meth:`Scheduler._drain_parked`'s exit marker for a tick that wakes.
+_WAKE = object()
+
 #: Beyond any simulated time.
 _NEVER = 0x7FFFFFFFFFFFFFFF
 
@@ -101,15 +104,18 @@ class _OrderLog:
     every pop ranked after that event. ``times`` is non-decreasing, and
     within one time ``keys`` increase, since pops run in ``(time, key)``
     order. Entries older than ``floor`` are pruned; no live chain can
-    ask about them.
+    ask about them. ``spins`` lists, in order, the push numbers (``base
+    + i``) of the entries whose key is a :class:`_SpinKey`; only real
+    steps log those (retry ticks pop int-keyed events).
     """
 
-    __slots__ = ("times", "keys", "base", "floor", "cap")
+    __slots__ = ("times", "keys", "spins", "base", "floor", "cap")
 
     def __init__(self, pushes: int) -> None:
         """Start logging after ``pushes`` non-spinner pushes."""
         self.times: List[int] = []
         self.keys: list = []
+        self.spins: List[int] = []
         self.base = pushes
         self.floor = 0
         self.cap = _LOG_PRUNE_AT
@@ -375,11 +381,10 @@ class Scheduler:
         self.stats_wakes = 0
         self.stats_retry_parks = 0
         self.stats_retry_wakes = 0
-        #: Parked-retry back-off events advanced by :meth:`_retry_tick`
-        #: (folded in from the records at wake/budget time).
+        #: Parked-retry back-off events advanced by :meth:`_drain_parked`.
         self.stats_retry_ticks = 0
-        #: Parked-spin placeholder events counted in closed form (ditto;
-        #: these are whole elided instructions).
+        #: Parked-spin placeholder events counted in closed form (folded
+        #: in at wake/budget time; these are whole elided instructions).
         self.stats_spin_steps = 0
         self.stats_pushpop_fusions = 0
         #: CPUs with an outstanding broadcast-stop request, maintained
@@ -405,8 +410,11 @@ class Scheduler:
         self._seq += 1
         log = self._log
         if log is not None:
+            key = self._pop_key
+            if key.__class__ is _SpinKey:
+                log.spins.append(log.base + len(log.times))
             log.times.append(self._pop_time)
-            log.keys.append(self._pop_key)
+            log.keys.append(key)
         heappush(self._queue, (time, self._seq, index))
 
     def _solo_index(self) -> Optional[int]:
@@ -460,7 +468,7 @@ class Scheduler:
         hooks_ok = pre_step is None and perturb is None
         # Retry parking survives schedule jitter: each tick draws the
         # perturbation for the step it elides, in exact pop order (see
-        # :meth:`_retry_tick`).
+        # :meth:`_drain_parked`).
         retry_ok = pre_step is None
         fabric = None
         for driver in drivers:
@@ -564,6 +572,8 @@ class Scheduler:
                     item = (end, self._seq, index)
                     log = self._log
                     if log is not None:
+                        if key.__class__ is _SpinKey:
+                            log.spins.append(log.base + len(log.times))
                         log.times.append(time)
                         log.keys.append(key)
                         if len(log.times) > log.cap:
@@ -619,12 +629,38 @@ class Scheduler:
         woken CPU's re-executed one), None when the successor went back
         to the queue, or ``_BUDGET`` when a pop crosses ``limit_t``.
 
+        A tick re-evaluates, against live fabric state, exactly the
+        decision the re-executed instruction's ``_fetch`` would reach at
+        ``time``, and applies exactly its engine-visible effects:
+
+        * **probe step due** (``_fetch_wait`` clear): compute the probe
+          (the fabric's ``_miss_latency``, effect-free), arm
+          ``_fetch_wait`` and schedule the try step — the FetchRetry the
+          real step would have raised;
+        * **try step due** (``_fetch_wait`` armed; while parked only
+          ticks write it): count the fetch attempt and either back off
+          the in-flight transfer window (busy) or deliver the real XI to
+          the exclusive owner when — and only when — the shared stiff-arm
+          predicate says it will be rejected (the owner's reject
+          counters, metrics hooks and spin-watch wakes all happen through
+          the ordinary fabric path).
+
+        When the pending step would do anything *other* than raise
+        another FetchRetry (fetch success, read-only upgrade, pending
+        abort, broadcast stop, solo, page-table change), the CPU is
+        un-parked and the very same event re-enters real execution,
+        which performs that step with full fidelity. Under schedule
+        jitter (:attr:`perturb`), each tick draws the perturbation for
+        the back-off delay it elides, in the exact pop-order position.
+
         While the queue keeps handing back parked CPUs' events, none of
-        the outer-loop state (done flags, solo requests, deferrals) can
-        change — so ticks run in a tight loop, one event per iteration,
-        fusing each push with the following pop. Ticks touch the fabric
-        (probes, stiff-arm XIs), so ``self.now`` is kept current, and a
-        spinner a tick wakes is ranked against the tick's event.
+        the outer-loop state (done flags, solo requests, deferrals, the
+        ordering log) can change, so ticks run in one tight loop, each
+        push fused with the following pop. ``now``, ``_pop_time`` and
+        ``_pop_key`` are stored only before an XI is delivered (the
+        owner records intervals against the clock, and a spinner it
+        wakes is ranked against the tick's event); every other exit hands
+        the event to the outer loop, which stores them itself.
 
         ``_horizon`` is deliberately not updated here: a parked CPU's
         chain either reaches a wake — after which its real pushes (which
@@ -634,36 +670,85 @@ class Scheduler:
         """
         queue = self._queue
         parked_get = self._parked.get
-        retry_tick = self._retry_tick
-        seq = self._seq
-        fusions = 0
-        event = None
+        perturb = self.perturb
+        log = self._log
+        if log is not None:
+            log_time = log.times.append
+            log_key = log.keys.append
+        fabric = rec.engine.fabric
+        ports = fabric._ports
+        miss_latency = fabric._miss_latency
+        l1_hit = fabric.lat.l1_hit
+        l2_hit = fabric.lat.l2_hit
+        reject_lat = fabric._outcome_reject.latency
+        exclusive_state = Ownership.EXCLUSIVE
+        seq = seq0 = self._seq
+        event = _WAKE  # what every exit but the wakes replaces
         while True:
-            # Pops are globally time-ordered, so this store is monotone;
-            # ticks touch the fabric (probes, stiff-arm XIs with
-            # interval recording), which observes the clock.
-            self.now = time
-            self._pop_time = time
-            self._pop_key = key
-            end = retry_tick(rec, time)
-            if end < 0:
-                # The pending fetch would leave the retry chain: un-park
-                # and re-execute this very event for real through the
-                # outer loop.
-                self.wake_parked(index)
-                event = (time, key, index)
+            engine = rec.engine
+            line = rec.line
+            exclusive = rec.exclusive
+            info = rec.line_info
+            if (
+                engine.pending_abort is not None
+                or engine.stopped_by_broadcast
+                or engine.solo_requested
+                or engine._page_missing
+                # A sufficient private copy: the step completes for real.
+                or line in rec.l1_entries and (
+                    not exclusive
+                    or rec.l1_entries[line].state is exclusive_state)
+                or line in rec.l2_entries and (
+                    not exclusive
+                    or rec.l2_entries[line].state is exclusive_state)
+                # Read-only upgrade: the fetch succeeds.
+                or exclusive and info.ro_owners >> rec.cpu & 1
+            ):
                 break
+            if engine._fetch_wait is None:
+                # Probe step due; a cheap probe means the step runs
+                # straight into try_fetch and must execute for real.
+                delay = miss_latency(rec.cpu, line, exclusive, info)
+                if delay <= l2_hit:
+                    break
+                engine._fetch_wait = rec.key
+                delay -= l1_hit
+            elif time < info.busy_until:
+                # In-flight transfer: back off until the interconnect
+                # frees up, exactly as fabric.try_fetch's busy outcome.
+                engine._fetch_wait = None
+                fabric.stats_fetches += 1
+                delay = info.busy_until - time
+            else:
+                owner = info.ex_owner
+                if (owner < 0 or owner == rec.cpu
+                        or not ports[owner].would_reject_xi(rec.xi_type,
+                                                            line)):
+                    break  # the XI would get through: the fetch succeeds
+                engine._fetch_wait = None
+                fabric.stats_fetches += 1
+                self.now = self._pop_time = time
+                self._pop_key = key
+                response, _extra = fabric._send_xi(
+                    Xi(rec.xi_type, line, rec.cpu, owner))
+                if response is not XiResponse.REJECT:
+                    raise ProtocolError(
+                        "retry-park stiff-arm peek diverged from delivery "
+                        f"(line {line:#x}, owner {owner})"
+                    )
+                fabric.stats_rejects += 1
+                delay = reject_lat
+            if perturb is not None:
+                delay = perturb(rec.cpu, delay)
             seq += 1
-            log = self._log
             if log is not None:
-                log.times.append(time)
-                log.keys.append(key)
+                log_time(time)
+                log_key(key)
             if not queue:
-                heappush(queue, (end, seq, index))
+                heappush(queue, (time + delay, seq, index))
+                event = None
                 break
-            fusions += 1
-            event = heappushpop(queue, (end, seq, index))
-            time, key, index = event
+            time, key, index = heappushpop(queue, (time + delay, seq, index))
             if time > limit_t:
                 event = _BUDGET
                 break
@@ -671,118 +756,20 @@ class Scheduler:
             if rec is None:
                 # A real CPU's event surfaced: return it through the
                 # outer loop (done/solo handling re-runs there).
+                event = (time, key, index)
                 break
+        ticks = seq - seq0
         self._seq = seq
-        self.stats_pushpop_fusions += fusions
+        self.stats_retry_ticks += ticks
+        if event is _WAKE:
+            # The pending fetch would leave the retry chain: un-park and
+            # re-execute this very event for real through the outer loop.
+            self.wake_parked(index)
+            event = (time, key, index)
+        elif event is None:
+            ticks -= 1  # the last tick's push went to an empty queue
+        self.stats_pushpop_fusions += ticks
         return event
-
-    # ------------------------------------------------------------------
-    # retry-storm elision support
-    # ------------------------------------------------------------------
-
-    def _retry_tick(self, rec, time: int) -> int:
-        """Advance a parked retry waiter's event chain by one event.
-
-        Re-evaluates, against live fabric state, exactly the decision the
-        re-executed instruction's ``_fetch`` would reach at ``time``, and
-        applies exactly its engine-visible effects:
-
-        * **probe step due** (``_fetch_wait`` clear): run the real probe
-          (it has no side effects), arm ``_fetch_wait`` and schedule the
-          try step — the FetchRetry the real step would have raised;
-        * **try step due** (``_fetch_wait`` armed): count the fetch
-          attempt and either back off the in-flight transfer window
-          (busy) or deliver the real XI to the exclusive owner when — and
-          only when — the shared stiff-arm predicate says it will be
-          rejected (the owner's reject counters, metrics hooks and
-          spin-watch wakes all happen through the ordinary fabric path).
-
-        Returns the next event's time, or -1 when the pending step would
-        do anything *other* than raise another FetchRetry (fetch success,
-        pending abort, broadcast-stop, solo, page-table change) — the
-        caller then un-parks the CPU and the very same event re-enters
-        real execution, which performs that step with full fidelity.
-
-        Under schedule jitter (:attr:`perturb`), each retrying outcome
-        draws the perturbation for the back-off delay it elides — the
-        exact draw the scheduler would have applied to the re-executed
-        step's FetchRetry, in the exact pop-order position.
-        """
-        perturb = self.perturb
-        engine = rec.engine
-        if (
-            engine.pending_abort is not None
-            or engine.stopped_by_broadcast
-            or engine.solo_requested
-            or engine._page_missing
-        ):
-            return -1
-        exclusive = rec.exclusive
-        line = rec.line
-        entry = rec.l1_entries.get(line)
-        if entry is not None and (
-            not exclusive or entry.state is Ownership.EXCLUSIVE
-        ):
-            return -1  # L1-sufficient: the step completes for real
-        if engine._fetch_wait == rec.key:
-            # Try step due: peek try_fetch's outcome, consume only the
-            # two retrying outcomes.
-            info = rec.lines.get(line)
-            if info is None:
-                return -1  # unowned, idle line: the fetch succeeds
-            if exclusive and rec.cpu in info.ro_owners:
-                return -1  # read-only upgrade: succeeds
-            l2_entry = rec.l2_entries.get(line)
-            if l2_entry is not None and (
-                not exclusive or l2_entry.state is Ownership.EXCLUSIVE
-            ):
-                return -1  # own-L2 refill: succeeds
-            fabric = rec.fabric
-            if time < info.busy_until:
-                # In-flight transfer: back off until the interconnect
-                # frees up, exactly as fabric.try_fetch's busy outcome.
-                engine._fetch_wait = None
-                fabric.stats_fetches += 1
-                rec.ticks += 1
-                if perturb is None:
-                    return info.busy_until
-                return time + perturb(rec.cpu, info.busy_until - time)
-            owner = info.ex_owner
-            if owner < 0 or owner == rec.cpu:
-                return -1  # no foreign exclusive owner: succeeds
-            if not rec.ports[owner].would_reject_xi(rec.xi_type, line):
-                return -1  # the owner would let the XI through: succeeds
-            engine._fetch_wait = None
-            fabric.stats_fetches += 1
-            response, _extra = fabric._send_xi(
-                Xi(rec.xi_type, line, rec.cpu, owner)
-            )
-            if response is not XiResponse.REJECT:
-                raise ProtocolError(
-                    "retry-park stiff-arm peek diverged from delivery "
-                    f"(line {line:#x}, owner {owner})"
-                )
-            fabric.stats_rejects += 1
-            rec.ticks += 1
-            if perturb is None:
-                return time + rec.reject_lat
-            return time + perturb(rec.cpu, rec.reject_lat)
-        # Probe step due.
-        l2_entry = rec.l2_entries.get(line)
-        if l2_entry is not None and (
-            not exclusive or l2_entry.state is Ownership.EXCLUSIVE
-        ):
-            return -1  # own-L2 sufficient: no probe, the step succeeds
-        probe = rec.fabric.probe_latency(rec.cpu, line, exclusive)
-        if probe <= rec.l2_hit:
-            # A cheap probe means the step runs straight into try_fetch
-            # and must execute for real.
-            return -1
-        engine._fetch_wait = rec.key
-        rec.ticks += 1
-        if perturb is None:
-            return time + probe - rec.l1_hit
-        return time + perturb(rec.cpu, probe - rec.l1_hit)
 
     # ------------------------------------------------------------------
     # parked spinners
@@ -889,8 +876,8 @@ class Scheduler:
             return
         times = log.times
         keys = log.keys
-        logged = [(times[k], key.chain) for k, key in enumerate(keys)
-                  if key.__class__ is _SpinKey]
+        base = log.base
+        logged = [(times[p - base], keys[p - base].chain) for p in log.spins]
         self._reanchor(queued, logged)
         floor = min(chain.t0 for chain in (*self._chains.values(), *queued))
         while True:
@@ -905,7 +892,8 @@ class Scheduler:
         if cut:
             del times[:cut]
             del keys[:cut]
-            log.base += cut
+            log.base = base = base + cut
+            del log.spins[:bisect_left(log.spins, base)]
         if floor > log.floor:
             log.floor = floor
         log.cap = max(_LOG_PRUNE_AT, 2 * len(times))
@@ -953,6 +941,7 @@ class Scheduler:
         if log is not None:
             log.times.clear()
             log.keys.clear()
+            log.spins.clear()
             self._log = None
         self._groups.clear()
 
@@ -979,7 +968,6 @@ class Scheduler:
         if rec.is_retry:
             del self._parked[index]
             self._n_retry_parked -= 1
-            self.stats_retry_ticks += rec.ticks
             self.drivers[index].retry_unpark()
             self.stats_retry_wakes += 1
             return
@@ -1005,7 +993,6 @@ class Scheduler:
             for index in sorted(self._parked):
                 rec = self._parked[index]
                 if rec.is_retry:
-                    self.stats_retry_ticks += rec.ticks
                     self.drivers[index].retry_unpark()
                     self.stats_retry_wakes += 1
                 else:

@@ -32,8 +32,8 @@ def check_invariants(harness: EngineHarness) -> None:
         info = harness.fabric.line_info(line)
         # Exclusive ownership excludes everything else.
         if info.ex_owner >= 0:
-            assert info.ex_owner not in info.ro_owners
-            assert not (info.ro_owners - {info.ex_owner})
+            assert info.ex_owner not in info.ro_cpus()
+            assert not (info.ro_cpus() - {info.ex_owner})
         for cpu, engine in enumerate(harness.engines):
             l1_entry = engine.l1.directory.lookup(line)
             l2_entry = engine.l2.directory.lookup(line)

@@ -188,7 +188,7 @@ class TestProbeMemoization:
             remote = lat.xi_round_trip + dist[reader][writer]
             assert probes(reader) == (remote, remote)
             duo.load(reader, line)
-            assert fabric.line_info(line).ro_owners == {writer, reader}
+            assert fabric.line_info(line).ro_cpus() == {writer, reader}
             for cpu in (writer, reader):
                 assert probes(cpu) == (lat.l1_hit,
                                        lat.l1_hit + lat.xi_round_trip)

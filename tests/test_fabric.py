@@ -22,7 +22,7 @@ def test_read_only_sharing(duo):
     assert duo.load(0, LINE) == 7
     assert duo.load(1, LINE) == 7
     info = duo.fabric.line_info(LINE)
-    assert 1 in info.ro_owners
+    assert 1 in info.ro_cpus()
     # CPU0 got demoted when CPU1 read the line.
     assert info.ex_owner == -1 or info.ex_owner == 0
 
@@ -33,7 +33,7 @@ def test_exclusive_acquisition_invalidates_readers(duo):
     duo.store(1, LINE, 5)
     info = duo.fabric.line_info(LINE)
     assert info.ex_owner == 1
-    assert 0 not in info.ro_owners
+    assert 0 not in info.ro_cpus()
     assert state_of(duo, 0, LINE) is None  # read-only XI invalidated it
 
 

@@ -39,6 +39,7 @@ from repro.cpu.assembler import assemble
 from repro.cpu.interpreter import IsaCpu
 from repro.cpu.isa import AHI, HALT, JNZ, LG, LHI, STG, TBEGIN, TEND, Mem
 from repro.errors import MachineStateError
+from repro.mem.fabric import CoherenceFabric
 from repro.mem.memory import PAGE_SHIFT
 from repro.mem.xi import WATCH_BLOCK_MASK
 from repro.params import ZEC12
@@ -291,17 +292,28 @@ class TestOwnerChangeWhileParked:
         # No owner condition guards the park: a parked chain's ticks
         # re-read the owner live, so it stays parked while the line
         # passes from one stiff-arming owner to another, and the run
-        # equals the elision-off run in results and final memory.
+        # equals the elision-off run in results and final memory. The
+        # owners are the targets of the XIs a tick delivers (a parked
+        # requester's retry watch is registered), per park.
         owners = {}
-        tick = Scheduler._retry_tick
+        parks = {}
+        try_park = IsaCpu._retry_try_park
+        send_xi = CoherenceFabric._send_xi
 
-        def watching_tick(self, rec, time):
-            info = rec.lines.get(rec.line)
-            if info is not None and info.ex_owner not in (-1, rec.cpu):
-                owners.setdefault(id(rec), set()).add(info.ex_owner)
-            return tick(self, rec, time)
+        def counting_park(self, info):
+            parked = try_park(self, info)
+            if parked:
+                parks[self.cpu_id] = parks.get(self.cpu_id, 0) + 1
+            return parked
 
-        monkeypatch.setattr(Scheduler, "_retry_tick", watching_tick)
+        def watching_send_xi(self, xi):
+            cpu = xi.requester
+            if cpu in self.watches.retry_by_cpu:
+                owners.setdefault((cpu, parks[cpu]), set()).add(xi.target)
+            return send_xi(self, xi)
+
+        monkeypatch.setattr(IsaCpu, "_retry_try_park", counting_park)
+        monkeypatch.setattr(CoherenceFabric, "_send_xi", watching_send_xi)
         runs = []
         for elide in (True, False):
             machine = _tbeginc_8_machine(elide)

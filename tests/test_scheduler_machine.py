@@ -251,23 +251,34 @@ class TestScheduler:
     def test_retry_park_delay_is_perturbed_like_a_fetch_retry(self):
         # The parking raise's delay goes through the jitter hook exactly
         # as a FetchRetry's would: the parked chain's first event is due
-        # at the perturbed time, and its pop ticks the chain.
+        # at the perturbed time, and its pop ticks the chain. The tick
+        # finds a pending abort, so it wakes the CPU and that very event
+        # runs for real.
         engine = FakeEngine()
-        rec = SimpleNamespace(is_retry=True, engine=engine, ticks=0)
+        engine.pending_abort = "abort"
+        engine.fabric = SimpleNamespace(
+            _ports=[], _miss_latency=None,
+            lat=SimpleNamespace(l1_hit=1, l2_hit=4),
+            _outcome_reject=SimpleNamespace(latency=3))
+        rec = SimpleNamespace(is_retry=True, engine=engine, cpu=0,
+                              line=0x100, exclusive=False, line_info=None,
+                              l1_entries={}, l2_entries={})
         driver = FakeDriver([RetryPark(rec, 10), 1], engine=engine)
         scheduler = Scheduler([driver])
         scheduler.perturb = lambda index, latency: latency + 7
-        ticks = []
+        steps_at = []
+        step = driver.step
 
-        def tick(rec, time):
-            ticks.append(time)
-            return -1  # the pending fetch would succeed: wake
+        def timed_step():
+            steps_at.append(scheduler.now)
+            return step()
 
-        scheduler._retry_tick = tick
+        driver.step = timed_step
         driver.retry_unpark = lambda: None
         scheduler.run()
-        assert ticks == [17]
+        assert steps_at == [0, 17]
         assert scheduler.stats_retry_parks == scheduler.stats_retry_wakes == 1
+        assert scheduler.stats_retry_ticks == 0
         assert driver.done
 
 

@@ -46,7 +46,7 @@ class TestLineInfo:
     def test_owners_union(self):
         info = LineInfo()
         assert info.is_unowned()
-        info.ro_owners = {1, 2}
+        info.ro_owners = 0b110  # CPUs 1 and 2
         info.ex_owner = 3
         assert info.owners() == {1, 2, 3}
         assert not info.is_unowned()
