@@ -56,7 +56,7 @@ BASELINES = {
     ),
     # The two points below were added with the spin-wait elision PR, so
     # their "seed" wall times were measured on the same container with
-    # REPRO_SPIN_ELIDE=0 (the pre-elision simulator); counts are exact.
+    # elision off (the pre-elision simulator); counts are exact.
     "update-fine-48cpu": (
         UpdateExperiment("fine", 48, 10_000, 1, iterations=15),
         0.118, 10_904, 14_569,

@@ -6,7 +6,10 @@ functions that executed the most bytecodes (self counts), and the
 *tick path*: every bytecode executed under
 ``Scheduler._drain_parked`` except inside XI delivery and wakes (those
 are the work the elided retry steps really do), divided by the parked
-retry ticks of the run.
+retry ticks of the run; and the *real step*: the self bytecodes of
+``Scheduler._run`` and ``IsaCpu.step`` divided by the ``step()`` calls:
+what the event loop and the step itself add to every step that really
+executes.
 
 Unlike a timing, the count is exact and repeatable: the same tree and
 point always give the same numbers, so a change of a few percent shows
@@ -27,18 +30,25 @@ import sys
 from collections import Counter
 
 from repro.bench.figures import UpdateExperiment, run_update_experiment
+from repro.cpu.interpreter import IsaCpu
+from repro.sim.scheduler import Scheduler
 
 #: Where the tick path starts, and the calls under it that are not
 #: tick-path work.
 TICK_ROOT = "_drain_parked"
 TICK_EXCLUDE = ("_send_xi", "wake_parked")
 
+#: The real-step readout's event loop and step, and the step counted.
+REAL_STEP = (Scheduler._run.__code__, IsaCpu.step.__code__)
+STEP = IsaCpu.step.__code__
+
 
 def count(experiment: UpdateExperiment):
     """Run ``experiment`` traced; returns (result, self counts per
-    function, tick-path total)."""
+    function, tick-path total, real-step total, ``step()`` calls)."""
     counts: Counter = Counter()
     tick = [0]
+    steps = [0]
     names = {}
     # Frame -> whether it runs on the tick path (inherited by callees).
     on_path = {}
@@ -62,6 +72,8 @@ def count(experiment: UpdateExperiment):
 
     def trace(frame, event, _arg):
         frame.f_trace_opcodes = True
+        if frame.f_code is STEP:
+            steps[0] += 1
         name = frame.f_code.co_name
         parent = on_path.get(frame.f_back, False)
         on_path[frame] = (name == TICK_ROOT
@@ -76,7 +88,8 @@ def count(experiment: UpdateExperiment):
     by_name: Counter = Counter()
     for code, n in counts.items():
         by_name[name_of(code)] += n
-    return result, by_name, tick[0]
+    real = sum(counts[code] for code in REAL_STEP)
+    return result, by_name, tick[0], real, steps[0]
 
 
 def main() -> int:
@@ -90,13 +103,16 @@ def main() -> int:
     args = parser.parse_args()
     experiment = UpdateExperiment(args.scheme, args.cpus, args.pool,
                                   args.vars, iterations=args.iterations)
-    result, by_name, tick = count(experiment)
+    result, by_name, tick, real, steps = count(experiment)
     total = sum(by_name.values())
     ticks = (result.sched or {}).get("retry_ticks", 0)
     print(f"{args.scheme}-{args.cpus}/pool-{args.pool}: {result.cycles} "
           f"cycles, {total:,} bytecodes")
     per_tick = f" ({tick / ticks:.1f} per tick)" if ticks else ""
     print(f"tick path: {tick:,} bytecodes over {ticks:,} ticks{per_tick}")
+    per_step = f" ({real / steps:.1f} per step)" if steps else ""
+    print(f"real step: {real:,} bytecodes over {steps:,} step() "
+          f"calls{per_step}")
     for name, n in by_name.most_common(args.top):
         print(f"  {n:>12,}  {100.0 * n / total:5.1f}%  {name}")
     return 0

@@ -24,7 +24,6 @@ architected registers:
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.abort import TransactionAbort
@@ -187,22 +186,20 @@ class _ParkedRetry:
     never touched (a retry step completes no instruction), so the
     un-park needs no state restoration: the pending event simply
     re-enters real execution.
+
+    The record keeps no reference to the CPU's private caches: no copy
+    of the line appears there while it is parked (see ``_drain_parked``).
     """
 
     #: Scheduler dispatch flag (see :class:`_ParkedSpin`).
     is_retry = True
 
     __slots__ = ("line", "block", "key", "exclusive", "xi_type",
-                 "line_info", "engine", "cpu", "l1_entries", "l2_entries")
+                 "line_info", "engine", "cpu")
 
     def __init__(self, engine: TxEngine) -> None:
         self.engine = engine
         self.cpu = engine.cpu_id
-        # Stable references the tick would otherwise chase through
-        # attribute chains on every event (these objects are mutated in
-        # place, never replaced).
-        self.l1_entries = engine.l1.directory._entries
-        self.l2_entries = engine.l2.directory._entries
         # The pending fetch (``line``, ``block``, ``exclusive``), its
         # ``_fetch_wait`` key ``(line, exclusive)``, the XI an
         # exclusive-owner conflict sends (exclusive fetches invalidate,
@@ -247,14 +244,10 @@ class IsaCpu:
         #: (filled by :meth:`_predecode`); taken branches return it
         #: directly instead of re-resolving the label per execution.
         self._branch_tuple: Dict[int, tuple] = {}
-        #: Spin-wait elision master switch (``REPRO_SPIN_ELIDE=0``
-        #: disables detection and parking; an explicit argument
-        #: overrides the environment — the REPRO_CHECK reference run
-        #: uses that).
-        self.spin_elide = (
-            spin_elide if spin_elide is not None
-            else os.environ.get("REPRO_SPIN_ELIDE", "1") != "0"
-        )
+        #: Spin-wait elision master switch (None means on; False
+        #: disables detection and parking, as the REPRO_CHECK reference
+        #: run does).
+        self.spin_elide = True if spin_elide is None else spin_elide
         #: Effective elision flag: armed by the scheduler (via
         #: :meth:`configure_spin_elide`) only when no per-step hooks
         #: (interrupt injection, schedule jitter) are installed. Off by

@@ -98,13 +98,14 @@ class CoherenceFabric:
 
     Ownership lives in one :class:`~repro.mem.line.LineInfo` per line:
     the exclusive owner's CPU id, and the read-only owners as a bitmask
-    of CPU ids. Each CPU has a precomputed chip mask and MCM mask (its
-    own bit included), so the distance from a requester to the nearest
-    other read-only owner, which prices a probe and picks an
-    intervention source, is three mask tests (:meth:`_nearest_rank`),
-    and read-only XIs go out by walking the set bits in ascending CPU
-    order. :meth:`_miss_latency` is the probe past the private caches;
-    :meth:`probe_latency` and the scheduler's parked retry ticks share it.
+    of CPU ids. Each CPU has a precomputed mask of the other CPUs on its
+    chip and one of those on its MCM, so the distance from a requester
+    to the nearest other read-only owner is three mask tests, and
+    read-only XIs go out by walking the set bits in ascending CPU order.
+    :meth:`_miss_latency` is the probe past the private caches and the
+    one place that prices an owner by its distance; :meth:`probe_latency`
+    and the scheduler's parked retry ticks share it, and a fetch's
+    :meth:`_shared_source` picks the same tier to label its source.
     """
 
     def __init__(self, params: MachineParams) -> None:
@@ -143,16 +144,18 @@ class CoherenceFabric:
         ]
         self._l3_by_cpu = [self.l3s[self._chip_of_cpu[c]] for c in range(total)]
         self._l4_by_cpu = [self.l4s[self._mcm_of_cpu[c]] for c in range(total)]
-        #: Per-CPU bitmasks of the CPUs on its chip and on its MCM (its
-        #: own bit included): owner distances are mask tests against
-        #: ``LineInfo.ro_owners`` (see :meth:`_nearest_rank`).
+        #: Per-CPU bitmasks of the other CPUs on its chip and on its MCM
+        #: (its own bit excluded): owner distances are mask tests against
+        #: ``LineInfo.ro_owners`` (see :meth:`_miss_latency`).
         chip_masks = [0] * chips
         mcm_masks = [0] * topo.mcms
         for c in range(total):
             chip_masks[self._chip_of_cpu[c]] |= 1 << c
             mcm_masks[self._mcm_of_cpu[c]] |= 1 << c
-        self._chip_mask = [chip_masks[chip] for chip in self._chip_of_cpu]
-        self._mcm_mask = [mcm_masks[mcm] for mcm in self._mcm_of_cpu]
+        self._chip_mask = [chip_masks[self._chip_of_cpu[c]] & ~(1 << c)
+                           for c in range(total)]
+        self._mcm_mask = [mcm_masks[self._mcm_of_cpu[c]] & ~(1 << c)
+                          for c in range(total)]
         #: Intervention latency from each CPU to every CPU. A row depends
         #: only on the requester's chip, so CPUs of one chip share it.
         lat_by_rank = (
@@ -451,16 +454,22 @@ class CoherenceFabric:
         serves the fetch and it is no read-only upgrade: the latency the
         line's owners or the shared caches imply. ``info`` is the line's
         :class:`LineInfo`, or None. The scheduler's parked retry ticks
-        call this directly (they have ruled out the other cases)."""
+        call this directly (parking ruled out the other cases).
+
+        A read-only copy is sourced by the nearest other owner: on the
+        requester's chip, else on its MCM, else on a remote MCM."""
         if info is not None:
             owner = info.ex_owner
             if owner >= 0 and owner != cpu:
                 return self.lat.xi_round_trip + self._dist_lat_rows[cpu][owner]
             owners = info.ro_owners
             if owners:
-                nearest = self._nearest_rank(cpu, owners)
-                if nearest < 3:
-                    latency = self._intervention_sources[nearest][0]
+                if owners & self._chip_mask[cpu]:
+                    latency = self.lat.on_chip_intervention
+                elif owners & self._mcm_mask[cpu]:
+                    latency = self.lat.same_mcm
+                elif owners & ~(1 << cpu):
+                    latency = self.lat.cross_mcm
                 else:
                     latency = self._shared_probe_latency(cpu, line)
                 # Exclusive: ``cpu`` is not among the owners (the upgrade
@@ -470,19 +479,6 @@ class CoherenceFabric:
                     latency += self.lat.xi_round_trip
                 return latency
         return self._shared_probe_latency(cpu, line)
-
-    def _nearest_rank(self, cpu: int, owners: int) -> int:
-        """Distance rank of the nearest CPU in the ``owners`` mask other
-        than ``cpu``: 0 same chip, 1 same MCM, 2 remote MCM, 3 when
-        ``cpu`` is the only one."""
-        others = owners & ~(1 << cpu)
-        if not others:
-            return 3
-        if others & self._chip_mask[cpu]:
-            return 0
-        if others & self._mcm_mask[cpu]:
-            return 1
-        return 2
 
     def _shared_probe_latency(self, cpu: int, line: int) -> int:
         """Latency of the shared-cache tiers, without LRU touches."""
@@ -559,7 +555,7 @@ class CoherenceFabric:
 
     def _lru_cascade_l3(self, cpu: int, victim: int) -> None:
         """An L3 eviction sends LRU XIs to the cores under that chip."""
-        self._lru_xi_below(victim, self._chip_mask[cpu])
+        self._lru_xi_below(victim, self._chip_mask[cpu] | 1 << cpu)
 
     def _lru_cascade_l4(self, cpu: int, victim: int) -> None:
         """An L4 eviction empties the MCM: L3s below and their cores."""
@@ -568,7 +564,7 @@ class CoherenceFabric:
         for l3 in self.l3s:
             if mcm_of_chip[l3.chip] == mcm:
                 l3.remove(victim)
-        self._lru_xi_below(victim, self._mcm_mask[cpu])
+        self._lru_xi_below(victim, self._mcm_mask[cpu] | 1 << cpu)
 
     def _lru_xi_below(self, line: int, scope: int) -> None:
         """LRU-XI every registered owner of ``line`` in the ``scope``
@@ -598,10 +594,16 @@ class CoherenceFabric:
         and cross-MCM interventions reuse those latencies — distinct
         *labels* (for fetch-source attribution), identical cycles.
         """
-        if info.ro_owners:
-            nearest = self._nearest_rank(cpu, info.ro_owners)
-            if nearest < 3:
-                return self._intervention_sources[nearest]
+        owners = info.ro_owners
+        if owners:
+            # The same nearest-owner tiers as :meth:`_miss_latency`,
+            # with their source labels.
+            if owners & self._chip_mask[cpu]:
+                return self._intervention_sources[0]
+            if owners & self._mcm_mask[cpu]:
+                return self._intervention_sources[1]
+            if owners & ~(1 << cpu):
+                return self._intervention_sources[2]
         lat = self.lat
         directory = self._l3_by_cpu[cpu].directory
         entry = directory._entries.get(line)

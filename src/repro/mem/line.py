@@ -74,7 +74,7 @@ class LineInfo:
     ``ro_owners`` is a bitmask of CPU ids: bit ``c`` is set while CPU
     ``c`` holds the line read-only. An int costs no allocation per line,
     and the fabric answers "nearest other owner" with a few mask tests
-    (see :meth:`repro.mem.fabric.CoherenceFabric._nearest_rank`).
+    (see :meth:`repro.mem.fabric.CoherenceFabric._miss_latency`).
     """
 
     __slots__ = ("ro_owners", "ex_owner", "busy_until")

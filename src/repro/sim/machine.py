@@ -62,8 +62,8 @@ class Machine:
         spin_elide: Optional[bool] = None,
     ) -> None:
         self.params = params
-        #: Per-machine override for spin-wait elision (None = honour the
-        #: ``REPRO_SPIN_ELIDE`` environment variable, the default).
+        #: Spin-wait and retry-storm elision (None, the default, means
+        #: on; False turns both off).
         self.spin_elide = spin_elide
         self.memory = MainMemory()
         self.page_table = PageTable()

@@ -78,7 +78,6 @@ from typing import List, Optional, Tuple
 
 from ..core.engine import FetchRetry, RetryPark, SpinPark
 from ..errors import MachineStateError, ProtocolError
-from ..mem.line import Ownership
 from ..mem.xi import Xi, XiResponse
 
 #: Returned by :meth:`Scheduler._drain_parked` when a pop crosses the
@@ -344,7 +343,10 @@ class Scheduler:
         self.perturb = None
         #: Non-spinner pushes so far (the last key handed out).
         self._seq = 0
+        #: The latest end of a real step.
         self._horizon = 0
+        #: The retry tick loop's fabric constants, read once per run.
+        self._tick_consts = None
         #: Times the broadcast-stop (solo) token was granted to a CPU.
         self.stats_broadcast_stops = 0
         #: Parked CPUs (index -> placeholder record). A parked retry
@@ -462,9 +464,10 @@ class Scheduler:
         limit_t = _NEVER if limit is None else limit
         # Arm spin/retry elision on the drivers. Per-step hooks must
         # observe (pre_step) or perturb (jitter) every instruction
-        # individually, so either one disables spin parking; the
-        # drivers also honour REPRO_SPIN_ELIDE=0 themselves. The shared
-        # fabric's wake sink is pointed at this scheduler for the run.
+        # individually, so either one disables spin parking; a machine
+        # built with ``spin_elide=False`` keeps both off on its drivers.
+        # The shared fabric's wake sink is pointed at this scheduler for
+        # the run.
         hooks_ok = pre_step is None and perturb is None
         # Retry parking survives schedule jitter: each tick draws the
         # perturbation for the step it elides, in exact pop order (see
@@ -475,145 +478,154 @@ class Scheduler:
             configure = getattr(driver, "configure_spin_elide", None)
             if configure is not None:
                 configure(hooks_ok, retry_ok)
-                engine = getattr(driver, "engine", None)
-                if engine is not None:
-                    fabric = engine.fabric
+            fabric = getattr(getattr(driver, "engine", None), "fabric", fabric)
         if fabric is not None:
             fabric.wake_sink = self.wake_parked
+            self._tick_consts = (fabric, fabric._ports, fabric._miss_latency,
+                                 fabric.lat.l1_hit, fabric.lat.l2_hit,
+                                 fabric._outcome_reject.latency)
+        # Locals, written back on every exit (a raise included).
+        horizon = self._horizon
+        fusions = 0
         event = None
-        while True:
-            if event is None:
-                if queue:
-                    event = heappop(queue)
-                elif deferred:
-                    self._flush_deferred()
-                    continue
-                elif chains:
-                    # Only parked spinners are left, and only other CPUs'
-                    # stores could wake them.
-                    if limit is None:
-                        self._raise_parked_deadlock()
-                    return self._finish_budget(limit)
-                else:
-                    break
-            time, key, index = event
-            event = None
-            self._pop_time = time
-            self._pop_key = key
-            driver = drivers[index]
-            if driver.done:
-                self._n_active -= 1
-                continue
-            if time > limit_t:
-                return self._finish_budget(limit)
-            # The solo-token bookkeeping only matters while some CPU has
-            # (or recently had) a broadcast-stop outstanding; the common
-            # case skips it entirely.
-            if solo_waiters or self._stop_applied_for != "idle":
-                solo = self._solo_index()
-                if solo is None:
-                    if self._stop_applied_for != "idle":
-                        self._apply_broadcast_stop(None)
-                        self._stop_applied_for = "idle"
-                elif solo != self._stop_applied_for:
-                    self._apply_broadcast_stop(solo)
-                    self._stop_applied_for = solo
-                    self.stats_broadcast_stops += 1
-                if solo is not None and index != solo:
-                    stm = getattr(driver.engine, "stm", None)
-                    if stm is None or not stm.commit_holds_locks:
-                        deferred.append((time, index))
+        try:
+            while True:
+                if event is None:
+                    if queue:
+                        event = heappop(queue)
+                    elif deferred:
+                        self._flush_deferred()
                         continue
-                    # A software (STM) committer holding acquired orecs
-                    # is exempt from the broadcast-stop: freezing it
-                    # would leave its write locks held for the whole
-                    # solo window, and a constrained transaction that
-                    # reads a locked grain can never succeed — not even
-                    # solo, since stopping CPUs cannot release storage
-                    # locks. Lock release is bounded work (validate,
-                    # write back, release), after which the stop flag
-                    # holds the CPU before it starts anything new.
-            rec = parked_get(index) if parked else None
-            if rec is None:
-                if time > self.now:
-                    self.now = time
-                if pre_step is not None:
-                    pre_step(index, self.now)
-                try:
-                    latency = driver.step()
-                except FetchRetry as retry:
-                    latency = retry.delay
-                except SpinPark as park:
-                    # The driver certified a spin loop and parked before
-                    # executing its head; the chain starts with this very
-                    # event.
-                    parked[index] = park.rec
-                    self._n_active -= 1
-                    self.stats_parks += 1
-                    self._park_spinner(index, park.rec, time, key)
-                    continue
-                except RetryPark as park:
-                    # The step's try raised and the driver certified the
-                    # back-off chain: schedule its next event as for the
-                    # FetchRetry, and let that event's pops tick the
-                    # chain (_drain_parked).
-                    parked[index] = park.rec
-                    self._n_active -= 1
-                    self._n_retry_parked += 1
-                    self.stats_retry_parks += 1
-                    latency = park.delay
-                if perturb is not None:
-                    latency = perturb(index, latency)
-                end = time + latency if latency > 0 else time
-                if end > self._horizon:
-                    self._horizon = end
-                if not driver.done:
-                    self._seq += 1
-                    item = (end, self._seq, index)
-                    log = self._log
-                    if log is not None:
-                        if key.__class__ is _SpinKey:
-                            log.spins.append(log.base + len(log.times))
-                        log.times.append(time)
-                        log.keys.append(key)
-                        if len(log.times) > log.cap:
-                            self._prune_log()
-                    if driver.engine.solo_requested:
-                        heappush(queue, item)
-                        solo_waiters.add(index)
-                        if chains:
-                            # Broadcast-stop engages: no spinner may stay
-                            # parked while it lasts.
-                            for parked_index in sorted(chains):
-                                self.wake_parked(parked_index)
-                    elif queue and not deferred and not solo_waiters:
-                        # Nothing can run between this push and the next
-                        # pop, so fuse them; the popped event still flows
-                        # through the full solo/limit checks above.
-                        event = heappushpop(queue, item)
-                        self.stats_pushpop_fusions += 1
+                    elif chains:
+                        # Only parked spinners are left, and only other CPUs'
+                        # stores could wake them.
+                        if limit is None:
+                            self._raise_parked_deadlock()
+                        return self._finish_budget(limit)
                     else:
-                        heappush(queue, item)
-                else:
+                        break
+                time, key, index = event
+                event = None
+                self._pop_time = time
+                self._pop_key = key
+                driver = drivers[index]
+                if driver.done:
                     self._n_active -= 1
-                if deferred and self._solo_index() is None:
-                    self._flush_deferred()
-                continue
-            # --- parked retry waiter ----------------------------------
-            if solo_waiters or deferred or self._stop_applied_for != "idle":
-                # Solo machinery engaged: every non-solo pop was deferred
-                # above unless this CPU is an STM committer holding
-                # orecs, whose broadcast-stop flag makes a retry tick
-                # wake it anyway. A wake is exact at any pop, so un-park
-                # and run this very event for real.
-                self.wake_parked(index)
-                event = (time, key, index)
-                continue
-            event = self._drain_parked(time, key, index, rec, limit_t)
-            if event is _BUDGET:
-                return self._finish_budget(limit)
-        if self._horizon > self.now:
-            self.now = self._horizon
+                    continue
+                if time > limit_t:
+                    return self._finish_budget(limit)
+                # The solo-token bookkeeping only matters while some CPU has
+                # (or recently had) a broadcast-stop outstanding; the common
+                # case skips it entirely.
+                if solo_waiters or self._stop_applied_for != "idle":
+                    solo = self._solo_index()
+                    if solo is None:
+                        if self._stop_applied_for != "idle":
+                            self._apply_broadcast_stop(None)
+                            self._stop_applied_for = "idle"
+                    elif solo != self._stop_applied_for:
+                        self._apply_broadcast_stop(solo)
+                        self._stop_applied_for = solo
+                        self.stats_broadcast_stops += 1
+                    if solo is not None and index != solo:
+                        stm = getattr(driver.engine, "stm", None)
+                        if stm is None or not stm.commit_holds_locks:
+                            deferred.append((time, index))
+                            continue
+                        # A software (STM) committer holding acquired orecs
+                        # is exempt from the broadcast-stop: freezing it
+                        # would leave its write locks held for the whole
+                        # solo window, and a constrained transaction that
+                        # reads a locked grain can never succeed — not even
+                        # solo, since stopping CPUs cannot release storage
+                        # locks. Lock release is bounded work (validate,
+                        # write back, release), after which the stop flag
+                        # holds the CPU before it starts anything new.
+                rec = parked_get(index) if parked else None
+                if rec is None:
+                    # Pop times never decrease: no compare needed.
+                    self.now = time
+                    if pre_step is not None:
+                        pre_step(index, self.now)
+                    try:
+                        latency = driver.step()
+                    except FetchRetry as retry:
+                        latency = retry.delay
+                    except SpinPark as park:
+                        # The driver certified a spin loop and parked before
+                        # executing its head; the chain starts with this very
+                        # event.
+                        parked[index] = park.rec
+                        self._n_active -= 1
+                        self.stats_parks += 1
+                        self._park_spinner(index, park.rec, time, key)
+                        continue
+                    except RetryPark as park:
+                        # The step's try raised and the driver certified the
+                        # back-off chain: schedule its next event as for the
+                        # FetchRetry, and let that event's pops tick the
+                        # chain (_drain_parked).
+                        parked[index] = park.rec
+                        self._n_active -= 1
+                        self._n_retry_parked += 1
+                        self.stats_retry_parks += 1
+                        latency = park.delay
+                    if perturb is not None:
+                        latency = perturb(index, latency)
+                    end = time + latency if latency > 0 else time
+                    if end > horizon:
+                        horizon = end
+                    if not driver.done:
+                        self._seq += 1
+                        item = (end, self._seq, index)
+                        log = self._log
+                        if log is not None:
+                            if key.__class__ is _SpinKey:
+                                log.spins.append(log.base + len(log.times))
+                            log.times.append(time)
+                            log.keys.append(key)
+                            if len(log.times) > log.cap:
+                                self._prune_log()
+                        if driver.engine.solo_requested:
+                            heappush(queue, item)
+                            solo_waiters.add(index)
+                            if chains:
+                                # Broadcast-stop engages: no spinner may stay
+                                # parked while it lasts.
+                                for parked_index in sorted(chains):
+                                    self.wake_parked(parked_index)
+                        elif queue and not deferred and not solo_waiters:
+                            # Nothing can run between this push and the next
+                            # pop, so fuse them; the popped event still flows
+                            # through the full solo/limit checks above.
+                            event = heappushpop(queue, item)
+                            fusions += 1
+                        else:
+                            heappush(queue, item)
+                    else:
+                        self._n_active -= 1
+                    if deferred and self._solo_index() is None:
+                        self._flush_deferred()
+                    continue
+                # --- parked retry waiter ----------------------------------
+                if (solo_waiters or deferred
+                        or self._stop_applied_for != "idle"):
+                    # Solo machinery engaged: every non-solo pop was deferred
+                    # above unless this CPU is an STM committer holding
+                    # orecs, whose broadcast-stop flag makes a retry tick
+                    # wake it anyway. A wake is exact at any pop, so un-park
+                    # and run this very event for real.
+                    self.wake_parked(index)
+                    event = (time, key, index)
+                    continue
+                event = self._drain_parked(time, key, index, rec, limit_t)
+                if event is _BUDGET:
+                    return self._finish_budget(limit)
+        finally:
+            self._horizon = horizon
+            self.stats_pushpop_fusions += fusions
+        if horizon > self.now:
+            self.now = horizon
         return self.now
 
     # ------------------------------------------------------------------
@@ -646,12 +658,22 @@ class Scheduler:
           the ordinary fabric path).
 
         When the pending step would do anything *other* than raise
-        another FetchRetry (fetch success, read-only upgrade, pending
-        abort, broadcast stop, solo, page-table change), the CPU is
-        un-parked and the very same event re-enters real execution,
-        which performs that step with full fidelity. Under schedule
-        jitter (:attr:`perturb`), each tick draws the perturbation for
-        the back-off delay it elides, in the exact pop-order position.
+        another FetchRetry (fetch success, pending abort, page-table
+        change, or a probe cheap enough to run straight into the try),
+        the CPU is un-parked and the very same event re-enters real
+        execution, which performs that step with full fidelity. Under
+        schedule jitter (:attr:`perturb`), each tick draws the
+        perturbation for the back-off delay it elides, in the exact
+        pop-order position.
+
+        A tick reads only what other CPUs can change while the CPU is
+        parked: its pending abort (an XI), its missing-page set (a
+        page-table change) and the line's fabric entry. The parking try
+        found no L1/L2 copy and no read-only copy to upgrade, and only
+        the CPU's own fetches add one; only its own step requests solo;
+        and no CPU is broadcast-stopped here, since :meth:`_run` wakes
+        parked CPUs instead of draining them while the stop machinery
+        is engaged.
 
         While the queue keeps handing back parked CPUs' events, none of
         the outer-loop state (done flags, solo requests, deferrals, the
@@ -675,40 +697,19 @@ class Scheduler:
         if log is not None:
             log_time = log.times.append
             log_key = log.keys.append
-        fabric = rec.engine.fabric
-        ports = fabric._ports
-        miss_latency = fabric._miss_latency
-        l1_hit = fabric.lat.l1_hit
-        l2_hit = fabric.lat.l2_hit
-        reject_lat = fabric._outcome_reject.latency
-        exclusive_state = Ownership.EXCLUSIVE
+        fabric, ports, miss_latency, l1_hit, l2_hit, reject_lat = (
+            self._tick_consts)
         seq = seq0 = self._seq
         event = _WAKE  # what every exit but the wakes replaces
         while True:
             engine = rec.engine
-            line = rec.line
-            exclusive = rec.exclusive
-            info = rec.line_info
-            if (
-                engine.pending_abort is not None
-                or engine.stopped_by_broadcast
-                or engine.solo_requested
-                or engine._page_missing
-                # A sufficient private copy: the step completes for real.
-                or line in rec.l1_entries and (
-                    not exclusive
-                    or rec.l1_entries[line].state is exclusive_state)
-                or line in rec.l2_entries and (
-                    not exclusive
-                    or rec.l2_entries[line].state is exclusive_state)
-                # Read-only upgrade: the fetch succeeds.
-                or exclusive and info.ro_owners >> rec.cpu & 1
-            ):
+            if engine.pending_abort is not None or engine._page_missing:
                 break
+            info = rec.line_info
             if engine._fetch_wait is None:
                 # Probe step due; a cheap probe means the step runs
                 # straight into try_fetch and must execute for real.
-                delay = miss_latency(rec.cpu, line, exclusive, info)
+                delay = miss_latency(rec.cpu, rec.line, rec.exclusive, info)
                 if delay <= l2_hit:
                     break
                 engine._fetch_wait = rec.key
@@ -721,6 +722,7 @@ class Scheduler:
                 delay = info.busy_until - time
             else:
                 owner = info.ex_owner
+                line = rec.line
                 if (owner < 0 or owner == rec.cpu
                         or not ports[owner].would_reject_xi(rec.xi_type,
                                                             line)):

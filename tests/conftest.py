@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import List, Optional, Tuple
 
 import pytest
@@ -14,6 +15,7 @@ from repro.mem.fabric import CoherenceFabric
 from repro.mem.memory import MainMemory
 from repro.mem.paging import PageTable
 from repro.params import MachineParams, Topology, ZEC12
+from repro.sim.machine import Machine
 
 
 def small_params(
@@ -37,6 +39,16 @@ def small_params(
         speculation=speculation,
         **overrides,
     )
+
+
+def experiment_elision(monkeypatch, spin_elide: bool) -> None:
+    """Make ``run_update_experiment`` build ``Machine(spin_elide=...)``
+    for the rest of the test. Workers that ``run_tasks`` forks
+    afterwards inherit the patch."""
+    import repro.bench.figures as figures
+
+    monkeypatch.setattr(figures, "Machine",
+                        functools.partial(Machine, spin_elide=spin_elide))
 
 
 class EngineHarness:

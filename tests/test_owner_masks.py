@@ -2,11 +2,12 @@
 
 The fabric keeps each line's read-only owners as an int mask and answers
 "how far is the nearest other owner" with mask tests against per-CPU
-chip and MCM masks (``CoherenceFabric._nearest_rank``). These tests hold
-the masks to plain-set references: the distance rank to a brute-force
-minimum over ``Topology.chip_of``/``mcm_of``, the bookkeeping to the set
-of CPUs whose private caches hold the line read-only, and the XI order
-to ascending CPU ids.
+chip and MCM masks (``CoherenceFabric._miss_latency``, and
+``_shared_source`` for a fetch's source label). These tests hold the
+masks to plain-set references: the probe latency and the source to a
+brute-force minimum over ``Topology.chip_of``/``mcm_of``, the
+bookkeeping to the set of CPUs whose private caches hold the line
+read-only, and the XI order to ascending CPU ids.
 """
 
 import dataclasses
@@ -37,8 +38,45 @@ def mask_of(cpus) -> int:
 
 
 # ----------------------------------------------------------------------
-# the nearest rank
+# the nearest owner's latency
 # ----------------------------------------------------------------------
+
+
+LINE = 0x40000  # held by no shared cache: an owner-less probe reads memory
+
+
+def brute_latency(fabric, cpu: int, owners, exclusive: bool) -> int:
+    """``_miss_latency`` of a line with no exclusive owner, from the
+    brute-force rank: the nearest other owner's intervention latency,
+    else memory, plus the read-only XIs an exclusive fetch sends."""
+    lat = fabric.lat
+    latency = (lat.on_chip_intervention, lat.same_mcm, lat.cross_mcm,
+               lat.memory)[brute_rank(fabric.topology, cpu, owners)]
+    if exclusive and owners:
+        latency += lat.xi_round_trip
+    return latency
+
+
+def brute_source(fabric, cpu: int, owners) -> tuple:
+    """``_shared_source`` of the same line: the nearest other owner's
+    intervention, else memory."""
+    lat = fabric.lat
+    return (
+        (lat.on_chip_intervention, "intervention"),
+        (lat.same_mcm, "intervention-mcm"),
+        (lat.cross_mcm, "intervention-remote"),
+        (lat.memory, "memory"),
+    )[brute_rank(fabric.topology, cpu, owners)]
+
+
+def check_latency(fabric, cpu: int, owners) -> None:
+    info = LineInfo(ro_owners=mask_of(owners))
+    for exclusive in (False, True):
+        assert fabric._miss_latency(cpu, LINE, exclusive, info) == (
+            brute_latency(fabric, cpu, owners, exclusive)
+        ), (cpu, sorted(owners), exclusive)
+    assert fabric._shared_source(cpu, LINE, info) == brute_source(
+        fabric, cpu, owners), (cpu, sorted(owners))
 
 
 SMALL_TOPOLOGIES = [
@@ -48,25 +86,36 @@ SMALL_TOPOLOGIES = [
 ]
 
 
-def test_nearest_rank_exhaustive_on_small_topologies():
+def test_miss_latency_exhaustive_on_small_topologies():
     for topo in SMALL_TOPOLOGIES:
         fabric = CoherenceFabric(dataclasses.replace(ZEC12, topology=topo))
         total = topo.total_cores
         for owners in range(1 << total):
             cpus = list(cpus_of(owners))
             for cpu in range(total):
-                assert fabric._nearest_rank(cpu, owners) == brute_rank(
-                    topo, cpu, cpus), (topo, cpu, cpus)
+                check_latency(fabric, cpu, cpus)
 
 
-def test_nearest_rank_covers_every_rank():
+def test_miss_latency_covers_every_rank():
     topo = Topology(cores_per_chip=2, chips_per_mcm=2, mcms=2)
     fabric = CoherenceFabric(dataclasses.replace(ZEC12, topology=topo))
-    assert fabric._nearest_rank(0, 0) == 3                  # empty
-    assert fabric._nearest_rank(0, mask_of([0])) == 3       # only itself
-    assert fabric._nearest_rank(0, mask_of([0, 1])) == 0    # same chip
-    assert fabric._nearest_rank(0, mask_of([0, 3])) == 1    # same MCM
-    assert fabric._nearest_rank(0, mask_of([0, 7])) == 2    # remote MCM
+    lat = fabric.lat
+
+    def probe(owners):
+        return fabric._miss_latency(0, LINE, False,
+                                    LineInfo(ro_owners=mask_of(owners)))
+
+    assert fabric._miss_latency(0, LINE, False, None) == lat.memory
+    assert probe([]) == lat.memory                          # empty
+    assert probe([0]) == lat.memory                         # only itself
+    assert probe([0, 1]) == lat.on_chip_intervention        # same chip
+    assert probe([0, 3]) == lat.same_mcm                    # same MCM
+    assert probe([0, 7]) == lat.cross_mcm                   # remote MCM
+    # An exclusive owner is priced by its own distance, whatever the
+    # read-only mask says.
+    info = LineInfo(ro_owners=mask_of([1]), ex_owner=7)
+    assert fabric._miss_latency(0, LINE, True, info) == (
+        lat.xi_round_trip + lat.cross_mcm)
 
 
 WIDE = ZEC12.topology  # 120 cores: 6 per chip, 4 chips per MCM, 5 MCMs
@@ -84,13 +133,12 @@ WIDE_FABRIC = CoherenceFabric(ZEC12)
     ),
     with_requester=st.booleans(),
 )
-def test_nearest_rank_matches_brute_force_on_120_cores(cpu, owners,
+def test_miss_latency_matches_brute_force_on_120_cores(cpu, owners,
                                                         with_requester):
     owners = set(owners)
     if with_requester:
         owners.add(cpu)
-    assert WIDE_FABRIC._nearest_rank(cpu, mask_of(owners)) == brute_rank(
-        WIDE, cpu, owners)
+    check_latency(WIDE_FABRIC, cpu, owners)
 
 
 def test_distance_rows_match_the_topology():

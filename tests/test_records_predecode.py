@@ -69,8 +69,6 @@ PINNED_HEADS = {
 }
 
 def _cpu(name):
-    # spin_elide=True (not the env default) so a REPRO_SPIN_ELIDE=0 run
-    # of the suite checks the same layout.
     machine = Machine(ZEC12.with_cpus(2), spin_elide=True)
     return machine, machine.add_program(assemble(PROGRAMS[name]))
 

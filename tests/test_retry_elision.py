@@ -19,7 +19,7 @@ contract. The tests pin that contract from several angles:
 * the parked-deadlock diagnostic names a retry waiter's watched block;
 * pinned bit-identity on coarse/fine/rwlock 48-CPU points, serial and
   through the parallel runner, with elision on and off
-  (``REPRO_SPIN_ELIDE``), plus the semantic scheduler counters of the
+  (``Machine(spin_elide=)``), plus the semantic scheduler counters of the
   elided runs;
 * ``REPRO_CHECK=1`` differential replay, with and without schedule
   jitter (retry parking stays armed under jitter).
@@ -30,6 +30,8 @@ from __future__ import annotations
 import random
 
 import pytest
+
+from conftest import experiment_elision
 
 from repro.bench.figures import UpdateExperiment, run_update_experiment
 from repro.bench.parallel import run_tasks
@@ -139,9 +141,8 @@ class TestPpaBackoffIdentity:
         # and abort counters (fed by the PPA back-off chains) must be
         # identical with retry parking on and off.
         experiment = UpdateExperiment("tbeginc", 24, 10, 4, iterations=15)
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         elided = run_update_experiment(experiment)
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "0")
+        experiment_elision(monkeypatch, False)
         plain = run_update_experiment(experiment)
         assert [
             (c.xi_rejects, c.tx_aborted, c.instructions)
@@ -159,9 +160,8 @@ class TestTransactionalRetryParking:
         # pinned TBEGINC point must retry-park and still equal its
         # non-elided run in every architected number.
         experiment = UpdateExperiment("tbeginc", 8, 10, 4, iterations=5)
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         elided = run_update_experiment(experiment)
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "0")
+        experiment_elision(monkeypatch, False)
         plain = run_update_experiment(experiment)
         assert elided.sched["retry_parks"] > 0
         assert plain.sched["retry_parks"] == 0
@@ -175,8 +175,6 @@ class TestRetryCertification:
     LINE = 0x8000
 
     def _armed_cpu(self):
-        # spin_elide=True (not the env default) so the white-box checks
-        # below behave the same in a REPRO_SPIN_ELIDE=0 run of the suite.
         machine = Machine(ZEC12.with_cpus(4), spin_elide=True)
         cpu = machine.add_program(assemble([HALT()]))
         cpu.configure_spin_elide(True)
@@ -399,7 +397,7 @@ class TestPinnedBitIdentity:
     @pytest.mark.parametrize("experiment,pinned", PINNED_48CPU, ids=IDS)
     @pytest.mark.parametrize("elide", MODES, ids=MODE_IDS)
     def test_serial(self, experiment, pinned, elide, monkeypatch):
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", elide)
+        experiment_elision(monkeypatch, elide == "1")
         result = run_update_experiment(experiment)
         assert _summary(result) == pinned
         if elide == "0":
@@ -413,14 +411,13 @@ class TestPinnedBitIdentity:
         ids=IDS,
     )
     def test_sched_counters(self, experiment, counters, monkeypatch):
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         sched = run_update_experiment(experiment).sched
         assert {key: sched[key] for key in counters} == counters
 
     @pytest.mark.parametrize("elide", MODES, ids=MODE_IDS)
     def test_parallel(self, elide, monkeypatch):
-        # Workers fork after the env change, so they inherit it.
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", elide)
+        # Workers fork after the patch, so they inherit it.
+        experiment_elision(monkeypatch, elide == "1")
         results = run_tasks(
             [("update", experiment) for experiment, _ in PINNED_48CPU],
             workers=2,
@@ -432,7 +429,6 @@ class TestPinnedBitIdentity:
     def test_retry_parking_engages_on_coarse_point(self, monkeypatch):
         # Guards the identity matrix against vacuity: the contended CSG
         # point must actually park retry waiters (and tick them).
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         result = run_update_experiment(PINNED_48CPU[0][0])
         sched = result.sched
         assert sched["retry_parks"] > 0
@@ -444,7 +440,6 @@ class TestPinnedBitIdentity:
 class TestRetryCheck:
     def test_differential_run_passes(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK", "1")
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         experiment = UpdateExperiment("coarse", 12, 1000, 4, iterations=5)
         result = run_update_experiment(experiment)
         assert result.sched["retry_parks"] > 0
@@ -455,7 +450,6 @@ class TestRetryCheck:
         # differential against the jittered non-elided reference must
         # come back bit-identical, with parking demonstrably engaged.
         monkeypatch.setenv("REPRO_CHECK", "1")
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         for seed in (0, 7):
             machine = Machine(ZEC12.with_cpus(12))
             program = build_update_program(

@@ -261,8 +261,7 @@ class TestScheduler:
             lat=SimpleNamespace(l1_hit=1, l2_hit=4),
             _outcome_reject=SimpleNamespace(latency=3))
         rec = SimpleNamespace(is_retry=True, engine=engine, cpu=0,
-                              line=0x100, exclusive=False, line_info=None,
-                              l1_entries={}, l2_entries={})
+                              line=0x100, exclusive=False, line_info=None)
         driver = FakeDriver([RetryPark(rec, 10), 1], engine=engine)
         scheduler = Scheduler([driver])
         scheduler.perturb = lambda index, latency: latency + 7

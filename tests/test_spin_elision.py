@@ -3,7 +3,7 @@
 Elision is a pure wall-clock optimization under a strict bit-identity
 contract: every architected outcome — cycles, per-CPU instruction
 counts, transaction statistics, final memory — must be exactly the same
-with elision on (the default) and off (``REPRO_SPIN_ELIDE=0``). The
+with elision on (the default) and off (``Machine(spin_elide=False)``). The
 tests here pin that contract from several angles:
 
 * pinned sweep points, serial and through the parallel runner, in both
@@ -22,6 +22,8 @@ tests here pin that contract from several angles:
 from __future__ import annotations
 
 import pytest
+
+from conftest import experiment_elision
 
 from repro.bench.figures import UpdateExperiment, run_update_experiment
 from repro.bench.parallel import run_tasks
@@ -68,21 +70,16 @@ def _summary(result):
 
 
 class TestPinnedBitIdentity:
-    # The elided variants pin the env to "1" so they stay meaningful in
-    # a run of the suite that exports REPRO_SPIN_ELIDE=0 globally.
-
     @pytest.mark.parametrize("experiment,pinned", PINNED_POINTS, ids=IDS)
     def test_serial_elided(self, experiment, pinned, monkeypatch):
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         assert _summary(run_update_experiment(experiment)) == pinned
 
     @pytest.mark.parametrize("experiment,pinned", PINNED_POINTS, ids=IDS)
     def test_serial_unelided(self, experiment, pinned, monkeypatch):
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "0")
+        experiment_elision(monkeypatch, False)
         assert _summary(run_update_experiment(experiment)) == pinned
 
     def test_parallel_elided(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         results = run_tasks(
             [("update", experiment) for experiment, _ in PINNED_POINTS],
             workers=2,
@@ -90,8 +87,8 @@ class TestPinnedBitIdentity:
         assert [_summary(r) for r in results] == [p for _, p in PINNED_POINTS]
 
     def test_parallel_unelided(self, monkeypatch):
-        # Workers fork after the env change, so they inherit it.
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "0")
+        # Workers fork after the patch, so they inherit it.
+        experiment_elision(monkeypatch, False)
         results = run_tasks(
             [("update", experiment) for experiment, _ in PINNED_POINTS],
             workers=2,
@@ -103,14 +100,13 @@ class TestParkingEngages:
     def test_coarse_point_parks_and_wakes(self, monkeypatch):
         # Guards the identity tests against vacuity: with a contended
         # coarse lock the machinery must actually engage.
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         result = run_update_experiment(PINNED_POINTS[2][0])
         assert result.sched is not None
         assert result.sched["parks"] > 0
         assert result.sched["wakes"] == result.sched["parks"]
 
     def test_unelided_run_never_parks(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "0")
+        experiment_elision(monkeypatch, False)
         result = run_update_experiment(PINNED_POINTS[2][0])
         assert result.sched["parks"] == 0
         assert result.sched["wakes"] == 0
@@ -191,9 +187,8 @@ class TestFalsePositives:
 class TestBudgetAndDeadlock:
     def test_budget_boundary_is_bit_identical(self, monkeypatch):
         experiment = PINNED_POINTS[2][0]
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         elided = run_update_experiment(experiment, max_cycles=9000)
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "0")
+        experiment_elision(monkeypatch, False)
         plain = run_update_experiment(experiment, max_cycles=9000)
         assert elided.aborted_early and plain.aborted_early
         assert _summary(elided) == _summary(plain)
@@ -317,9 +312,8 @@ class TestEventCountInvariant:
     )
     def test_events_plus_elided_steps(self, experiment, total,
                                       monkeypatch):
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         parked = run_update_experiment(experiment).sched
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "0")
+        experiment_elision(monkeypatch, False)
         plain = run_update_experiment(experiment).sched
         assert parked["parks"] > 0 and parked["spin_steps"] > 0
         assert plain["parks"] == 0
@@ -402,7 +396,6 @@ class TestLongParks:
 
 class TestSpinCheck:
     def test_differential_run_passes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
         monkeypatch.setenv("REPRO_CHECK", "1")
         assert _summary(
             run_update_experiment(PINNED_POINTS[2][0])

@@ -2,7 +2,8 @@
 
 The scheduler once offered virtual sequence numbering (parked chains
 advanced off-queue, ``REPRO_VIRTSEQ``) and a choice of event queue
-(calendar or bare heap, ``REPRO_HEAP_SCHED``). Both are gone: the
+(calendar or bare heap, ``REPRO_HEAP_SCHED``), and the CPUs read
+elision's default from ``REPRO_SPIN_ELIDE``. All three are gone: the
 scheduler has one heapq queue, a parked retry chain keeps its pending
 event in it, and a parked spinner keeps none (its chain is counted in
 closed form). The contract under test is that the old switches are now inert — every
@@ -11,10 +12,10 @@ exports for them, serial and parallel, no run reports the deleted
 counters, and the parked-deadlock diagnostic has no off-queue
 annotation left to print.
 
-Neither switch is named anywhere in ``src/`` (checked below), so no
-value of either can reach a run. Each pinned point therefore runs once
-per live axis value — spin/retry elision on or off — with both retired
-switches exported at their old non-default values, and the four
+No retired switch is named anywhere in ``src/`` (checked below), so
+no value of one can reach a run. Each pinned point therefore runs once
+per live axis value — ``Machine(spin_elide=)`` on or off — with every
+retired switch exported at its old non-default value, and the four
 virt/mat x cal/heap ids of that point and elision setting all check
 that one run.
 """
@@ -26,6 +27,8 @@ import pathlib
 import pytest
 
 import repro
+from conftest import experiment_elision
+
 from repro.bench.figures import UpdateExperiment, run_update_experiment
 from repro.bench.parallel import run_tasks
 from repro.cpu.assembler import assemble
@@ -68,9 +71,10 @@ VIRT_MODE_IDS = [
 ]
 
 #: The retired switches at their old non-default values: materialised
-#: placeholders instead of virtual numbering, and the bare heap instead
-#: of the calendar queue. Exported for every run below.
-RETIRED_ENV = {"REPRO_VIRTSEQ": "0", "REPRO_HEAP_SCHED": "1"}
+#: placeholders instead of virtual numbering, the bare heap instead of
+#: the calendar queue, and elision off. Exported for every run below.
+RETIRED_ENV = {"REPRO_VIRTSEQ": "0", "REPRO_HEAP_SCHED": "1",
+               "REPRO_SPIN_ELIDE": "0"}
 
 #: ``SimResult.sched`` keys of the deleted virtual-sequence drain and
 #: queue backends.
@@ -78,7 +82,7 @@ RETIRED_COUNTERS = ("virtual_events", "fast_forwarded_events",
                     "queue_switches", "calendar_resizes",
                     "bucket_max_occupancy")
 
-#: One result per (pinned point id, REPRO_SPIN_ELIDE value), and one
+#: One result per (pinned point id, ``spin_elide`` value), and one
 #: parallel run of all pinned points.
 _SERIAL_RUNS = {}
 _PARALLEL_RUNS = []
@@ -115,7 +119,7 @@ class TestFlagMatrixIdentity:
         if run_key not in _SERIAL_RUNS:
             for name, value in RETIRED_ENV.items():
                 monkeypatch.setenv(name, value)
-            monkeypatch.setenv("REPRO_SPIN_ELIDE", elide)
+            experiment_elision(monkeypatch, elide == "1")
             _SERIAL_RUNS[run_key] = run_update_experiment(experiment)
         result = _SERIAL_RUNS[run_key]
         assert _summary(result) == pinned
@@ -124,6 +128,9 @@ class TestFlagMatrixIdentity:
         if elide == "0":
             assert result.sched["parks"] == 0
             assert result.sched["retry_parks"] == 0
+        elif experiment.scheme == "coarse":
+            # The exported REPRO_SPIN_ELIDE=0 does not turn elision off.
+            assert result.sched["retry_parks"] > 0
 
     @pytest.mark.parametrize("virtseq", ["1", "0"], ids=["virt", "mat"])
     def test_parallel(self, virtseq, monkeypatch):
@@ -132,7 +139,6 @@ class TestFlagMatrixIdentity:
             # Workers fork after the env change, so they inherit it.
             for name, value in RETIRED_ENV.items():
                 monkeypatch.setenv(name, value)
-            monkeypatch.setenv("REPRO_SPIN_ELIDE", "1")
             _PARALLEL_RUNS.extend(run_tasks(
                 [("update", experiment) for experiment, _ in PINNED_48CPU],
                 workers=2,
